@@ -28,12 +28,11 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .errors import CarrierTooLarge, GroupMismatch, InputError, TrussLabError
 from .groups import (
-    EndoMap,
     FiniteGroup,
     automorphisms,
     compose_commute,
@@ -54,6 +53,9 @@ from .structures import (
     verify,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ORDER_CAP_DEFAULT = 4
 GUARDED_ORDER_CAP = 6
 CANDIDATE_BUDGET = 50_000_000
@@ -64,7 +66,11 @@ _BATCH = 1 << 16
 def worker_count(threads: int | None = None) -> int:
     if threads is not None:
         return max(1, int(threads))
-    return max(1, int(os.environ.get("TRUSSLAB_THREADS", "1")))
+    raw = os.environ.get("TRUSSLAB_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise InputError(f"TRUSSLAB_THREADS must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -119,6 +125,8 @@ def idempotent_self_maps(n: int) -> list[tuple[int, ...]]:
 
 def _endo_tables(G: FiniteGroup):
     """Endomorphism list, image matrix and composition-index table."""
+    import numpy as np
+
     endos = enumerate_endomorphisms(G)
     index = {e.images: i for i, e in enumerate(endos)}
     imgs = np.array([e.images for e in endos], dtype=np.int64)
@@ -136,6 +144,8 @@ def _lambda_search(G: FiniteGroup, sigmas, require_condition_i: bool, threads: i
     """For each sigma, all lambda assignments satisfying (ii) (and (i) when
     requested).  Yields (sigma, digit-tuple, dot-rows, circ-rows) in
     lexicographic (sigma, lambda) order."""
+    import numpy as np
+
     n = G.order
     endos, endo_imgs, comp = _endo_tables(G)
     E = len(endos)
@@ -345,8 +355,9 @@ def _classify(G, kind, structures, stats) -> ClassificationResult:
     structures.sort(key=lambda o: o.structure_key())
     reps: dict[tuple, AlgebraObject] = {}
     for obj in structures:
-        canon = canonical_form(obj)
-        reps.setdefault(canon.structure_key(), canon)
+        key, h = _orbit_min(obj)
+        if key not in reps:
+            reps[key] = relabel_structure(obj, h)
     return ClassificationResult(
         group_name=G.name,
         kind=kind,
@@ -361,21 +372,63 @@ def _classify(G, kind, structures, stats) -> ClassificationResult:
 # ---------------------------------------------------------------------------
 # isomorphism and canonical forms
 
-_AUT_CACHE: dict[tuple, list[EndoMap]] = {}
+_PULLBACKS: dict[tuple, tuple] = {}
 
 
-def _automorphisms(G: FiniteGroup) -> list[EndoMap]:
-    auts = _AUT_CACHE.get(G.table)
-    if auts is None:
-        auts = automorphisms(G)
-        _AUT_CACHE[G.table] = auts
-    return auts
+def _pullbacks(G: FiniteGroup) -> tuple:
+    """(h, sigma gather, table gather) for every automorphism h of G but the
+    identity.  The image of a map f under h is h . f . h^-1, so the image of
+    sigma is h applied to sigma gathered at h^-1(x), and the image of a
+    row-major table is h applied to the table gathered at
+    h^-1(x) * n + h^-1(y).  A non-identity automorphism needs n >= 3, so
+    every itemgetter here takes several indices and returns a tuple."""
+    cached = _PULLBACKS.get(G.table)
+    if cached is None:
+        n = G.order
+        identity = tuple(range(n))
+        entries = []
+        for aut in automorphisms(G):
+            h = aut.images
+            if h == identity:
+                continue
+            hinv = [0] * n
+            for a, v in enumerate(h):
+                hinv[v] = a
+            flat = [hinv[x] * n + hinv[y] for x in range(n) for y in range(n)]
+            entries.append((h, itemgetter(*hinv), itemgetter(*flat)))
+        cached = _PULLBACKS[G.table] = tuple(entries)
+    return cached
+
+
+def _orbit_min(obj: AlgebraObject) -> tuple[tuple, tuple[int, ...]]:
+    """The least structure_key over the automorphism orbit of obj, and an
+    automorphism (as images) that carries obj to it.
+
+    Automorphisms preserve every axiom, so only obj itself is verified, and
+    only if it has not been already; its images are compared as keys and
+    never rebuilt as objects."""
+    if not obj.verified:
+        verify(obj)
+    key = obj.structure_key()
+    best, best_h = key, tuple(range(obj.order))
+    sigma_parts = 0 if obj.sigma is None else 1
+    for h, pull_sigma, pull_table in _pullbacks(obj.group):
+        push = h.__getitem__
+        image = tuple(
+            tuple(map(push, (pull_sigma if i < sigma_parts else pull_table)(part)))
+            for i, part in enumerate(key)
+        )
+        if image < best:
+            best, best_h = image, h
+    return best, best_h
 
 
 def relabel_structure(obj: AlgebraObject, perm) -> AlgebraObject:
     """Push the structure forward along a carrier bijection h: components
     become h . f . h^-1.  When h is an automorphism the carrier group table
-    is unchanged and the result lives on the same group."""
+    is unchanged and the result lives on the same group.  Transport along h
+    preserves every axiom, so the image of a verified object is verified;
+    the image of any other object is checked."""
     h = tuple(perm)
     n = obj.group.order
     hinv = [0] * n
@@ -399,30 +452,23 @@ def relabel_structure(obj: AlgebraObject, perm) -> AlgebraObject:
     sigma = None
     if obj.sigma is not None:
         sigma = tuple(h[obj.sigma[hinv[x]]] for x in range(n))
-    return verify(
-        make_algebra(group, obj.kind, sigma=sigma, circ=push_op(obj.circ), dot=push_op(obj.dot))
+    image = make_algebra(
+        group, obj.kind, sigma=sigma, circ=push_op(obj.circ), dot=push_op(obj.dot)
     )
+    if not obj.verified:
+        return verify(image)
+    image.verified = True
+    return image
 
 
 def canonical_key(obj: AlgebraObject) -> tuple:
     """Lexicographically least serialization over the automorphism orbit."""
-    best = None
-    for aut in _automorphisms(obj.group):
-        key = relabel_structure(obj, aut.images).structure_key()
-        if best is None or key < best:
-            best = key
-    return (obj.kind,) + best
+    return (obj.kind,) + _orbit_min(obj)[0]
 
 
 def canonical_form(obj: AlgebraObject) -> AlgebraObject:
-    best = None
-    best_obj = None
-    for aut in _automorphisms(obj.group):
-        cand = relabel_structure(obj, aut.images)
-        key = cand.structure_key()
-        if best is None or key < best:
-            best, best_obj = key, cand
-    return best_obj
+    """The verified object whose serialization is canonical_key(obj)."""
+    return relabel_structure(obj, _orbit_min(obj)[1])
 
 
 def are_isomorphic(a: AlgebraObject, b: AlgebraObject) -> bool:
@@ -450,6 +496,8 @@ def _require_tiny(G: FiniteGroup, what: str) -> None:
 
 
 def _all_tables(n: int) -> np.ndarray:
+    import numpy as np
+
     count = n ** (n * n)
     ks = np.arange(count, dtype=np.int64)
     powers = n ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
@@ -457,6 +505,8 @@ def _all_tables(n: int) -> np.ndarray:
 
 
 def _assoc_mask(tables: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     k, n, _ = tables.shape
     flat = tables.reshape(k, n * n)
     idx_left = (tables.reshape(k, n * n, 1) * n + np.arange(n)).reshape(k, -1)
@@ -470,6 +520,8 @@ def raw_skew_truss_search(G: FiniteGroup) -> OracleResult:
     """Scan every (circ table, sigma map) pair against associativity and the
     skew distributivity axiom, no structure theory involved."""
     _require_tiny(G, "skew truss")
+    import numpy as np
+
     n = G.order
     add = np.array(G.table, dtype=np.int64)
     inv = np.array(G.inverse, dtype=np.int64)
@@ -499,6 +551,8 @@ def raw_weak_truss_search(G: FiniteGroup) -> OracleResult:
     """Scan every (dot table, sigma map) pair against left distributivity
     and weak sigma-associativity."""
     _require_tiny(G, "weak truss")
+    import numpy as np
+
     n = G.order
     add = np.array(G.table, dtype=np.int64)
     tables = _all_tables(n)
@@ -531,6 +585,8 @@ def raw_weak_truss_search(G: FiniteGroup) -> OracleResult:
 def raw_interchange_search(G: FiniteGroup, associative_only: bool = False) -> OracleResult:
     """Scan every table against (w+x)o(y+z) = (woy)+(xoz)."""
     _require_tiny(G, "interchange")
+    import numpy as np
+
     n = G.order
     add = np.array(G.table, dtype=np.int64)
     tables = _all_tables(n)
@@ -555,6 +611,8 @@ def raw_constant_lambda_ditruss_search(
     associative, the row map an idempotent endomorphism, optionally
     image-commuting with sigma."""
     _require_tiny(G, "constant-lambda ditruss")
+    import numpy as np
+
     n = G.order
     add = np.array(G.table, dtype=np.int64)
     inv = np.array(G.inverse, dtype=np.int64)

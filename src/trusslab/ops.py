@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CarrierMismatch, InputError
-from .groups import FiniteGroup, MapLike, images_of
+from .groups import EndoMap, FiniteGroup, MapLike
 
 
 @dataclass(frozen=True)
@@ -53,23 +53,37 @@ class LawReport:
         return out
 
 
+def _is_element(x, n: int) -> bool:
+    """x labels a carrier element: an int in 0..n-1, never a bool or float."""
+    return type(x) is int and 0 <= x < n
+
+
 def binop(carrier: FiniteGroup, table: Sequence[Sequence[int]]) -> BinOpTable:
-    rows = tuple(tuple(int(x) for x in row) for row in table)
+    """Validate an n x n table: a list of n lists (or tuples) of n carrier
+    labels.  Nothing is coerced."""
     n = carrier.order
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise InputError(f"operation table must be {n}x{n}")
-    for a, row in enumerate(rows):
+    if not isinstance(table, (list, tuple)) or len(table) != n or any(
+        not isinstance(row, (list, tuple)) or len(row) != n for row in table
+    ):
+        raise InputError(f"operation table must be a list of {n} lists of {n} integers")
+    for a, row in enumerate(table):
         for b, x in enumerate(row):
-            if not 0 <= x < n:
-                raise InputError(f"entry table[{a}][{b}] = {x} out of range 0..{n - 1}")
-    return BinOpTable(carrier=carrier, table=rows)
+            if not _is_element(x, n):
+                raise InputError(f"entry table[{a}][{b}] = {x!r} is not an integer in 0..{n - 1}")
+    return BinOpTable(carrier=carrier, table=tuple(map(tuple, table)))
 
 
-def _check_map(G: FiniteGroup, m: MapLike) -> tuple[int, ...]:
-    images = images_of(m)
-    if len(images) != G.order or any(not 0 <= x < G.order for x in images):
-        raise InputError(f"unary map {list(images)} does not fit carrier of order {G.order}")
-    return images
+def check_map(G: FiniteGroup, m: MapLike, label: str = "unary map") -> tuple[int, ...]:
+    """The images of m, which must be an EndoMap or a list (or tuple) of
+    n carrier labels.  Nothing is coerced."""
+    images = m.images if isinstance(m, EndoMap) else m
+    if not isinstance(images, (list, tuple)) or len(images) != G.order or not all(
+        _is_element(x, G.order) for x in images
+    ):
+        raise InputError(
+            f"{label} {images!r} is not a list of {G.order} integers in 0..{G.order - 1}"
+        )
+    return tuple(images)
 
 
 def _same_carrier(f: BinOpTable, g: BinOpTable) -> FiniteGroup:
@@ -93,14 +107,14 @@ def make_projection_ops(G: FiniteGroup) -> tuple[BinOpTable, BinOpTable]:
 
 def make_sigma_pi1(G: FiniteGroup, sigma: MapLike) -> BinOpTable:
     """Row-constant operation a*b = sigma(a)."""
-    s = _check_map(G, sigma)
+    s = check_map(G, sigma)
     n = G.order
     return BinOpTable(G, tuple(tuple(s[a] for _ in range(n)) for a in range(n)))
 
 
 def make_tau_pi2(G: FiniteGroup, tau: MapLike) -> BinOpTable:
     """Column-constant operation a*b = tau(b)."""
-    t = _check_map(G, tau)
+    t = check_map(G, tau)
     n = G.order
     row = tuple(t[b] for b in range(n))
     return BinOpTable(G, tuple(row for _ in range(n)))
@@ -208,7 +222,7 @@ def is_right_distributive(f: BinOpTable) -> LawReport:
 def is_left_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport:
     """a*(b+c) = (a*b) - sigma(a) + (a*c)."""
     G = f.carrier
-    s = _check_map(G, sigma)
+    s = check_map(G, sigma)
     t, add, inv = f.table, G.table, G.inverse
     n = f.order
     for a in range(n):
@@ -226,7 +240,7 @@ def is_left_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport:
 def is_right_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport:
     """(a+b)*c = (a*c) - sigma(c) + (b*c)."""
     G = f.carrier
-    s = _check_map(G, sigma)
+    s = check_map(G, sigma)
     t, add, inv = f.table, G.table, G.inverse
     n = f.order
     for a in range(n):
@@ -243,7 +257,7 @@ def is_right_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport
 def is_left_weak_sigma_associative(f: BinOpTable, sigma: MapLike) -> LawReport:
     """(sigma(a) + a*b)*c = a*(b*c)."""
     G = f.carrier
-    s = _check_map(G, sigma)
+    s = check_map(G, sigma)
     t, add = f.table, G.table
     n = f.order
     for a in range(n):
@@ -323,4 +337,4 @@ def unary_map_from_json(data: dict, resolver=None) -> tuple[int, ...]:
     if not isinstance(data, dict) or "group" not in data or "images" not in data:
         raise InputError("unary map JSON requires 'group' and 'images' fields")
     G = (resolver or resolve_group)(data["group"])
-    return _check_map(G, data["images"])
+    return check_map(G, data["images"])

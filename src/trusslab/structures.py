@@ -44,6 +44,7 @@ from .ops import (
     BinOpTable,
     LawReport,
     binop,
+    check_map,
     is_associative,
     is_left_distributive,
     is_left_skew_sigma_distributive,
@@ -160,9 +161,7 @@ def make_algebra(
             raise CarrierMismatch(f"{label} table lives on a different carrier than the group")
         return x
 
-    sig = None if sigma is None else images_of(sigma)
-    if sig is not None and (len(sig) != group.order or any(not 0 <= v < group.order for v in sig)):
-        raise InputError("sigma images do not fit the carrier")
+    sig = None if sigma is None else check_map(group, sigma, "sigma")
     circ_t = as_op(circ, "circ")
     dot_t = as_op(dot, "dot")
 

@@ -1,0 +1,123 @@
+"""Canonical forms against a scalar reference.
+
+The library takes the orbit minimum by gathering each automorphic image's
+key from cached index lists, and verifies only the input.  The reference
+here is the plain loop: push every component forward along each
+automorphism h (f -> h . f . h^-1), rebuild the object, verify it against
+the axioms, and keep the least serialization.  Running it over every
+enumerated structure also asserts, once, that automorphisms preserve the
+axioms, which the library relies on instead of re-verifying each image.
+"""
+
+import os
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from trusslab import (
+    are_isomorphic,
+    automorphisms,
+    builtin_group,
+    canonical_form,
+    check,
+    enumerate_constant_lambda_ditrusses,
+    enumerate_interchange,
+    enumerate_skew_trusses,
+    enumerate_weak_trusses,
+    make_algebra,
+    make_skew_truss,
+    verify,
+)
+from trusslab.enumeration import canonical_key
+from trusslab.errors import VerificationFailed
+
+ENUMERATORS = {
+    "skew-truss": enumerate_skew_trusses,
+    "weak-truss": enumerate_weak_trusses,
+    "ditruss": enumerate_constant_lambda_ditrusses,
+    "interchange-nr": enumerate_interchange,
+}
+
+CASES = [(g, k) for g in ("Z1", "Z2", "Z3", "Z4", "V4") for k in ENUMERATORS] + [
+    ("D4", "interchange-nr"),
+    ("Q8", "interchange-nr"),
+]
+
+
+@lru_cache(maxsize=None)
+def structures(group: str, kind: str):
+    return ENUMERATORS[kind](builtin_group(group)).structures
+
+
+def reference_images(obj):
+    """Every automorphic image of obj, rebuilt and verified."""
+    G = obj.group
+    n = G.order
+    for aut in automorphisms(G):
+        h = aut.images
+        hinv = [0] * n
+        for a, v in enumerate(h):
+            hinv[v] = a
+
+        def push(op):
+            if op is None:
+                return None
+            t = op.table
+            return [[h[t[hinv[x]][hinv[y]]] for y in range(n)] for x in range(n)]
+
+        sigma = None if obj.sigma is None else [h[obj.sigma[hinv[x]]] for x in range(n)]
+        yield verify(make_algebra(G, obj.kind, sigma=sigma, circ=push(obj.circ), dot=push(obj.dot)))
+
+
+@pytest.mark.parametrize("group,kind", CASES)
+def test_canonical_forms_match_reference(group, kind):
+    objs = structures(group, kind)
+    assert objs
+    for obj in objs:
+        least = min(image.structure_key() for image in reference_images(obj))
+        assert canonical_key(obj) == (obj.kind,) + least
+        form = canonical_form(obj)
+        assert form.verified
+        assert form.group is obj.group
+        assert form.structure_key() == least
+
+
+def test_order_one_group():
+    # the only automorphism of the trivial group is the identity; keys are
+    # still tuples of tuples, not scalars
+    for kind in ENUMERATORS:
+        (obj,) = structures("Z1", kind)
+        key = canonical_key(obj)
+        assert key == (kind,) + obj.structure_key()
+        assert all(isinstance(part, tuple) for part in key[1:])
+        assert canonical_form(obj).structure_key() == obj.structure_key()
+        assert are_isomorphic(obj, canonical_form(obj))
+
+
+def test_unverified_input_is_verified_once():
+    Z4 = builtin_group("Z4")
+    good = make_skew_truss(Z4, [[(a + 1 + b) % 4 for b in range(4)] for a in range(4)], (1, 2, 3, 0))
+    assert not good.verified
+    assert canonical_key(good) == canonical_key(verify(make_skew_truss(Z4, good.circ, good.sigma)))
+    assert good.verified
+
+
+def test_failing_input_raises_with_the_first_witness():
+    Z4 = builtin_group("Z4")
+    bad = make_skew_truss(Z4, [[(a * b + 1) % 4 for b in range(4)] for a in range(4)], (0, 1, 2, 3))
+    expected = next(r for r in check(make_skew_truss(Z4, bad.circ, bad.sigma)).reports if not r.holds)
+    for call in (canonical_key, canonical_form):
+        with pytest.raises(VerificationFailed) as info:
+            call(make_skew_truss(Z4, bad.circ, bad.sigma))
+        assert info.value.report == expected
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, trusslab, trusslab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

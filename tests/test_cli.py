@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from trusslab.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -54,6 +56,66 @@ def test_verify_malformed_input_gives_exit_2(capsys):
 def test_verify_missing_file_gives_exit_2(capsys):
     code, out, err = run(capsys, "verify", "--input", "no-such-file.json")
     assert code == 2
+
+
+def _shifted_z4(**change):
+    """The shifted Z4 truss a o b = a + 1 + b, sigma(a) = a + 1."""
+    doc = {
+        "kind": "skew-truss",
+        "group": "Z4",
+        "sigma": [1, 2, 3, 0],
+        "circ": [[(a + 1 + b) % 4 for b in range(4)] for a in range(4)],
+    }
+    doc.update(change)
+    return doc
+
+
+def _with_cell(value):
+    circ = _shifted_z4()["circ"]
+    circ[0][0] = value
+    return circ
+
+
+MALFORMED = {
+    "string-sigma": _shifted_z4(sigma="1230"),
+    "float-entry": _shifted_z4(circ=_with_cell(1.2)),
+    "bool-sigma-image": _shifted_z4(sigma=[1, 2, 3, False]),
+    "string-entry": _shifted_z4(circ=_with_cell("1")),
+    "integral-float-entry": _shifted_z4(circ=_with_cell(1.0)),
+    "nested-sigma": _shifted_z4(sigma=[[1], [2], [3], [0]]),
+    "scalar-circ": _shifted_z4(circ=5),
+    "string-rows": _shifted_z4(circ=["1230", "2301", "3012", "0123"]),
+}
+
+
+def test_shifted_z4_base_document_verifies(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_shifted_z4()))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 0
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_components_give_exit_2_without_traceback(capsys, tmp_path, name):
+    # the first four are the malformed documents of the benchmark's queries
+    # corpus; none may be coerced into a verifying structure
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    for command in ("verify", "report", "decompose"):
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+        assert "Traceback" not in err
+
+
+def test_non_integer_thread_count_gives_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("TRUSSLAB_THREADS", "abc")
+    code, out, err = run(capsys, "enumerate", "--group", "Z2", "--kind", "skew-truss")
+    assert code == 2
+    assert out == ""
+    assert "TRUSSLAB_THREADS" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,9 @@ def test_worker_count_env(monkeypatch):
     assert worker_count(3) == 3
     monkeypatch.setenv("TRUSSLAB_THREADS", "5")
     assert worker_count() == 5
+    monkeypatch.setenv("TRUSSLAB_THREADS", "abc")
+    with pytest.raises(InputError):
+        worker_count()
 
 
 def test_env_threads_match_sequential(monkeypatch, Z3):
