@@ -2,8 +2,7 @@
 
 JSON goes to stdout (stable key order, so byte-identical for fixed input and
 version); a short human summary goes to stderr.  Exit codes: 0 success/pass,
-1 semantic failure (axiom or hypothesis), 2 input error.  TRUSSLAB_THREADS
-overrides the enumeration worker count.
+1 semantic failure (axiom or hypothesis), 2 input error.
 """
 
 from __future__ import annotations
@@ -138,6 +137,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.cap is not None and args.cap < 1:
+        raise InputError(f"--cap must be at least 1, got {args.cap}")
     group = resolve_group(_group_argument(args.group))
     kind = normalize_kind(args.kind)
     if args.oracle:

@@ -2,9 +2,9 @@
 
 Two independent routes are kept deliberately separate:
 
-* a parametrized search over (sigma, lambda-family) pairs: every candidate
-  that survives the vectorized filters is re-verified against the raw axioms
-  in plain Python before it is emitted;
+* a parametrized backtracking search over (sigma, lambda-family) pairs:
+  every structure it finds is re-verified against the raw axioms before it
+  is emitted;
 * raw-axiom brute force over full operation tables, feasible only for
   carriers of size <= 3, used to certify the parametrization (the
   parametrization is justified by the structure theory that the tests are
@@ -24,9 +24,7 @@ alone (with a o b read as sigma(a) + lam_a(b)).
 from __future__ import annotations
 
 import itertools
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -60,17 +58,6 @@ ORDER_CAP_DEFAULT = 4
 GUARDED_ORDER_CAP = 6
 CANDIDATE_BUDGET = 50_000_000
 ORACLE_ORDER_CAP = 3
-_BATCH = 1 << 16
-
-
-def worker_count(threads: int | None = None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    raw = os.environ.get("TRUSSLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputError(f"TRUSSLAB_THREADS must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -123,77 +110,81 @@ def idempotent_self_maps(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _endo_tables(G: FiniteGroup):
-    """Endomorphism list, image matrix and composition-index table."""
-    import numpy as np
-
-    endos = enumerate_endomorphisms(G)
-    index = {e.images: i for i, e in enumerate(endos)}
-    imgs = np.array([e.images for e in endos], dtype=np.int64)
-    comp = np.empty((len(endos), len(endos)), dtype=np.int64)
-    for i, e in enumerate(endos):
-        for j, f in enumerate(endos):
-            comp[i, j] = index[compose_maps(e, f)]
-    return endos, imgs, comp
-
-
 # ---------------------------------------------------------------------------
 # parametrized searches
 
-def _lambda_search(G: FiniteGroup, sigmas, require_condition_i: bool, threads: int):
+def _lambda_search(G: FiniteGroup, sigmas, require_condition_i: bool):
     """For each sigma, all lambda assignments satisfying (ii) (and (i) when
     requested).  Yields (sigma, digit-tuple, dot-rows, circ-rows) in
-    lexicographic (sigma, lambda) order."""
-    import numpy as np
+    lexicographic (sigma, lambda) order, where digit a indexes lam_a in the
+    sorted endomorphism list.
 
+    (i) involves lam_a alone, and only through s = sigma(a), so it filters
+    the domain of every element a with sigma(a) = s at once.  The search
+    then assigns lam_0, lam_1, ... in index order, each domain in increasing
+    order.  The instance (x, y) of (ii) is decided when max(x, y) is
+    assigned: its target c = sigma(x) + lam_x(y) is known by then, and
+    lam_c = lam_x lam_y is checked if c is assigned and forced otherwise."""
     n = G.order
-    endos, endo_imgs, comp = _endo_tables(G)
-    E = len(endos)
-    total = E ** n
-    add_np = np.array(G.table, dtype=np.int64)
-    sig_col = np.arange(n)[None, :, None]
+    endos = [e.images for e in enumerate_endomorphisms(G)]
+    index = {e: i for i, e in enumerate(endos)}
+    comp = [[index[compose_maps(f, g)] for g in endos] for f in endos]
+    # shifted[s][e]: the circ row b -> s + lam(b) of an element a with
+    # sigma(a) = s and lam_a = endos[e]
+    shifted = [[tuple(row[x] for x in e) for e in endos] for row in G.table]
+    gathers = [[itemgetter(*r) for r in rows] for rows in shifted]
+    pairs = [[(k, y) for y in range(k + 1)] + [(x, k) for x in range(k)] for k in range(n)]
+    all_endos = range(len(endos))
+    digits = [0] * n
+    rows: list = [None] * n
+    forced: list = [None] * n
 
-    def scan(sigma):
-        sig = np.array(sigma, dtype=np.int64)
-        a2 = add_np[sig]  # a2[a, x] = sigma(a) + x
-        hits = []
-        for start in range(0, total, _BATCH):
-            count = min(_BATCH, total - start)
-            ks = np.arange(start, start + count)
-            powers = E ** np.arange(n - 1, -1, -1, dtype=np.int64)
-            digits = (ks[:, None] // powers[None, :]) % E
-            # necessary prefilter: lam_{sigma(a)} = lam_a . lam_0
-            keep = (digits[:, sig] == comp[digits, digits[:, :1]]).all(axis=1)
-            digits = digits[keep]
-            if not len(digits):
+    def extend(k, sigma, domains, hits):
+        if k == n:
+            hits.append(tuple(digits))
+            return
+        f = forced[k]
+        for e in domains[k] if f is None else (f,) if f in domains[k] else ():
+            digits[k] = e
+            rows[k] = shifted[sigma[k]][e]
+            placed = []
+            for x, y in pairs[k]:
+                c = rows[x][y]
+                v = comp[digits[x]][digits[y]]
+                if c <= k:
+                    if digits[c] != v:
+                        break
+                elif forced[c] is None:
+                    forced[c] = v
+                    placed.append(c)
+                elif forced[c] != v:
+                    break
+            else:
+                extend(k + 1, sigma, domains, hits)
+            for c in placed:
+                forced[c] = None
+
+    for sigma in sigmas:
+        if require_condition_i:
+            pull = itemgetter(*sigma)
+            domain_of = {
+                s: [e for e, row in enumerate(shifted[s]) if gathers[s][e](sigma) == pull(row)]
+                for s in set(sigma)
+            }
+            if not all(domain_of.values()):
                 continue
-            m = endo_imgs[digits]  # m[k, a, b] = lam_a(b)
-            t = a2[sig_col, m]  # t[k, a, b] = sigma(a) + lam_a(b)
-            b = len(digits)
-            left = np.take_along_axis(digits, t.reshape(b, -1), axis=1).reshape(b, n, n)
-            right = comp[digits[:, :, None], digits[:, None, :]]
-            keep2 = (left == right).all(axis=(1, 2))
-            if require_condition_i:
-                msig = m[:, :, sig]
-                keep2 &= (sig[t] == a2[sig_col, msig]).all(axis=(1, 2))
-            for k in np.flatnonzero(keep2):
-                hits.append(
-                    (
-                        tuple(int(x) for x in digits[k]),
-                        tuple(tuple(int(x) for x in row) for row in m[k]),
-                        tuple(tuple(int(x) for x in row) for row in t[k]),
-                    )
-                )
-        return hits
-
-    if threads > 1 and len(sigmas) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_hits = list(pool.map(scan, sigmas))
-    else:
-        all_hits = [scan(s) for s in sigmas]
-    for sigma, hits in zip(sigmas, all_hits):
-        for digit_tuple, dot_rows, circ_rows in hits:
-            yield sigma, digit_tuple, dot_rows, circ_rows
+            domains = [domain_of[s] for s in sigma]
+        else:
+            domains = [all_endos] * n
+        hits: list = []
+        extend(0, sigma, domains, hits)
+        for digit_tuple in hits:
+            yield (
+                sigma,
+                digit_tuple,
+                tuple(endos[e] for e in digit_tuple),
+                tuple(shifted[s][e] for s, e in zip(sigma, digit_tuple)),
+            )
 
 
 def _budget_or_raise(kind: str, G: FiniteGroup, sigma_count: int, lam_count: int,
@@ -218,7 +209,6 @@ def enumerate_skew_trusses(
     G: FiniteGroup,
     cap: int = ORDER_CAP_DEFAULT,
     budget: int = CANDIDATE_BUDGET,
-    threads: int | None = None,
 ) -> ClassificationResult:
     """All skew trusses on G: pairs (circ, sigma) with circ associative and
     left skew sigma-distributive.
@@ -237,9 +227,7 @@ def enumerate_skew_trusses(
     )
     start = time.perf_counter()
     structures = []
-    for sigma, _digits, _dot, circ_rows in _lambda_search(
-        G, sigmas, require_condition_i=True, threads=worker_count(threads)
-    ):
+    for sigma, _digits, _dot, circ_rows in _lambda_search(G, sigmas, require_condition_i=True):
         structures.append(verify(make_algebra(G, SKEW_TRUSS, sigma=sigma, circ=circ_rows)))
     stats = {
         "candidates": candidates,
@@ -253,7 +241,6 @@ def enumerate_weak_trusses(
     G: FiniteGroup,
     cap: int = ORDER_CAP_DEFAULT,
     budget: int = CANDIDATE_BUDGET,
-    threads: int | None = None,
     sigma_mode: str = "all",
 ) -> ClassificationResult:
     """All weak trusses on G: pairs (dot, sigma) with dot left distributive
@@ -275,9 +262,7 @@ def enumerate_weak_trusses(
     )
     start = time.perf_counter()
     structures = []
-    for sigma, _digits, dot_rows, _circ in _lambda_search(
-        G, sigmas, require_condition_i=False, threads=worker_count(threads)
-    ):
+    for sigma, _digits, dot_rows, _circ in _lambda_search(G, sigmas, require_condition_i=False):
         structures.append(verify(make_algebra(G, WEAK_TRUSS, sigma=sigma, dot=dot_rows)))
     stats = {"candidates": candidates, "seconds": time.perf_counter() - start}
     return _classify(G, WEAK_TRUSS, structures, stats)

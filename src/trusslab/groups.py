@@ -102,23 +102,38 @@ class Decomposition:
     kind: str  # "semidirect" | "direct"
 
 
+def is_element(x, n: int) -> bool:
+    """x labels a carrier element: an int in 0..n-1, never a bool or float."""
+    return type(x) is int and 0 <= x < n
+
+
+def _table_rows(table) -> tuple[tuple[int, ...], ...]:
+    """A Cayley table as a tuple of rows: a non-empty list (or tuple) of n
+    lists of n carrier labels.  Nothing is coerced."""
+    if not isinstance(table, (list, tuple)) or not table:
+        raise InputError("Cayley table must be a non-empty list of rows")
+    n = len(table)
+    for a, row in enumerate(table):
+        if not isinstance(row, (list, tuple)) or len(row) != n:
+            raise InputError(f"row {a} is not a list of {n} entries")
+        for b, x in enumerate(row):
+            if not is_element(x, n):
+                raise InputError(
+                    f"entry table[{a}][{b}] = {x!r} is not an integer in 0..{n - 1}"
+                )
+    return tuple(map(tuple, table))
+
+
 def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
     """Check all group axioms exhaustively and return the validated group.
 
-    Raises NotLatinSquare / NoIdentityAtZero / NotAssociative, each with a
-    witness cell or triple.  Two-sided inverses follow from the other axioms
-    on a finite carrier; they are computed here and stored.
+    Raises InputError on a malformed table, and NotLatinSquare /
+    NoIdentityAtZero / NotAssociative, each with a witness cell or triple.
+    Two-sided inverses follow from the other axioms on a finite carrier;
+    they are computed here and stored.
     """
-    rows = tuple(tuple(int(x) for x in row) for row in table)
+    rows = _table_rows(table)
     n = len(rows)
-    if n == 0:
-        raise InputError("empty Cayley table")
-    for a, row in enumerate(rows):
-        if len(row) != n:
-            raise InputError(f"row {a} has length {len(row)}, expected {n}")
-        for b, x in enumerate(row):
-            if not 0 <= x < n:
-                raise InputError(f"entry table[{a}][{b}] = {x} out of range 0..{n - 1}")
 
     full = frozenset(range(n))
     for a, row in enumerate(rows):
@@ -158,12 +173,11 @@ def group_from_json(data: dict, name: str | None = None, normalize: bool = True)
     required when companion tables share the labeling and cannot be moved."""
     if not isinstance(data, dict) or "table" not in data:
         raise InputError("group JSON must be an object with a 'table' field")
-    table = data["table"]
-    if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
-        raise InputError("group 'table' must be a list of rows")
+    table = _table_rows(data["table"])
     n = len(table)
-    if "order" in data and int(data["order"]) != n:
-        raise InputError(f"declared order {data['order']} does not match table size {n}")
+    order = data.get("order", n)
+    if type(order) is not int or order != n:
+        raise InputError(f"declared order {order!r} is not the table size {n}")
     gname = name or str(data.get("name", "G"))
 
     ident = _find_identity(table)
@@ -184,11 +198,8 @@ def group_from_json(data: dict, name: str | None = None, normalize: bool = True)
 def _find_identity(table) -> int | None:
     n = len(table)
     for e in range(n):
-        try:
-            if all(table[e][a] == a and table[a][e] == a for a in range(n)):
-                return e
-        except (IndexError, TypeError) as exc:
-            raise InputError(f"malformed table row near index {e}") from exc
+        if all(table[e][a] == a and table[a][e] == a for a in range(n)):
+            return e
     return None
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CarrierMismatch, InputError
-from .groups import EndoMap, FiniteGroup, MapLike
+from .groups import EndoMap, FiniteGroup, MapLike, is_element
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,6 @@ class LawReport:
         return out
 
 
-def _is_element(x, n: int) -> bool:
-    """x labels a carrier element: an int in 0..n-1, never a bool or float."""
-    return type(x) is int and 0 <= x < n
-
-
 def binop(carrier: FiniteGroup, table: Sequence[Sequence[int]]) -> BinOpTable:
     """Validate an n x n table: a list of n lists (or tuples) of n carrier
     labels.  Nothing is coerced."""
@@ -68,7 +63,7 @@ def binop(carrier: FiniteGroup, table: Sequence[Sequence[int]]) -> BinOpTable:
         raise InputError(f"operation table must be a list of {n} lists of {n} integers")
     for a, row in enumerate(table):
         for b, x in enumerate(row):
-            if not _is_element(x, n):
+            if not is_element(x, n):
                 raise InputError(f"entry table[{a}][{b}] = {x!r} is not an integer in 0..{n - 1}")
     return BinOpTable(carrier=carrier, table=tuple(map(tuple, table)))
 
@@ -78,7 +73,7 @@ def check_map(G: FiniteGroup, m: MapLike, label: str = "unary map") -> tuple[int
     n carrier labels.  Nothing is coerced."""
     images = m.images if isinstance(m, EndoMap) else m
     if not isinstance(images, (list, tuple)) or len(images) != G.order or not all(
-        _is_element(x, G.order) for x in images
+        is_element(x, G.order) for x in images
     ):
         raise InputError(
             f"{label} {images!r} is not a list of {G.order} integers in 0..{G.order - 1}"

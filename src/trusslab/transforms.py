@@ -181,11 +181,12 @@ def interchange_to_ditruss(obj: AlgebraObject) -> tuple[AlgebraObject, Transform
 
 def interchange_opposite(obj: AlgebraObject) -> tuple[AlgebraObject, TransformRecord]:
     """Replace circ with its transpose; an involution that preserves both the
-    interchange law and associativity."""
+    interchange law and associativity, so the opposite of the verified input
+    is verified without a check: (w+x) o' (y+z) = (y+z) o (w+x) =
+    (y o w) + (z o x) = (w o' y) + (x o' z)."""
     require_verified(obj, (INTERCHANGE,))
     out = make_algebra(obj.group, INTERCHANGE, circ=op_opposite(obj.circ))
-    if not check(out).ok:
-        raise NotInterchange("opposite operation lost the interchange law")
+    out.verified = True
     G = obj.group
     record = TransformRecord(
         INTERCHANGE, INTERCHANGE, "interchange_opposite",

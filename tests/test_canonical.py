@@ -121,3 +121,16 @@ def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, trusslab, trusslab.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_truss_searches_leave_numpy_unloaded():
+    # numpy belongs to the raw oracles alone, which run only on order <= 3
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, trusslab as t; G = t.builtin_group('Z4');"
+        "t.enumerate_skew_trusses(G); t.enumerate_weak_trusses(G);"
+        "print('numpy' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -76,6 +76,19 @@ def _with_cell(value):
     return circ
 
 
+def _inline_z4(cell=None, value=None, **change):
+    """Z4 as an inline group document, with table[cell] set to value."""
+    group = {
+        "name": "Z4",
+        "order": 4,
+        "table": [[(a + b) % 4 for b in range(4)] for a in range(4)],
+    }
+    if cell is not None:
+        group["table"][cell[0]][cell[1]] = value
+    group.update(change)
+    return group
+
+
 MALFORMED = {
     "string-sigma": _shifted_z4(sigma="1230"),
     "float-entry": _shifted_z4(circ=_with_cell(1.2)),
@@ -85,14 +98,22 @@ MALFORMED = {
     "nested-sigma": _shifted_z4(sigma=[[1], [2], [3], [0]]),
     "scalar-circ": _shifted_z4(circ=5),
     "string-rows": _shifted_z4(circ=["1230", "2301", "3012", "0123"]),
+    "bool-group-entry": _shifted_z4(group=_inline_z4((0, 0), False)),
+    "integral-float-group-entry": _shifted_z4(group=_inline_z4((0, 1), 1.0)),
+    "float-group-order": _shifted_z4(group=_inline_z4(order=4.0)),
+    "coerced-inline-group": _shifted_z4(
+        group={"name": "Z4", "order": 4.0,
+               "table": [[False, 1.0, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]}
+    ),
 }
 
 
 def test_shifted_z4_base_document_verifies(capsys, tmp_path):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(_shifted_z4()))
-    code, out, err = run(capsys, "verify", "--input", str(path))
-    assert code == 0
+    for group in ("Z4", _inline_z4()):
+        path.write_text(json.dumps(_shifted_z4(group=group)))
+        code, out, err = run(capsys, "verify", "--input", str(path))
+        assert code == 0
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -107,15 +128,6 @@ def test_malformed_components_give_exit_2_without_traceback(capsys, tmp_path, na
         assert out == ""
         assert "input error" in err
         assert "Traceback" not in err
-
-
-def test_non_integer_thread_count_gives_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("TRUSSLAB_THREADS", "abc")
-    code, out, err = run(capsys, "enumerate", "--group", "Z2", "--kind", "skew-truss")
-    assert code == 2
-    assert out == ""
-    assert "TRUSSLAB_THREADS" in err
-    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +291,37 @@ def test_enumerate_inline_group_file(capsys, tmp_path):
     assert code == 0
     assert payload["group"] == "C3"
     assert payload["total_count"] == 9
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        {"order": 3.0, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+        {"order": True, "table": [[0]]},
+        {"table": [[0, 1, 2], [1, 2, 0], [2, 0, True]]},
+        # identity at index 1, so the loader would relabel with a float
+        {"table": [[1, 0, 2], [0, 1, 2], [2, 2.0, 0]]},
+        {"table": [[0, 1], "10"]},
+    ],
+)
+def test_enumerate_malformed_group_file_gives_exit_2(capsys, tmp_path, group):
+    gfile = tmp_path / "group.json"
+    gfile.write_text(json.dumps(group))
+    code, out, err = run(capsys, "enumerate", "--group", str(gfile), "--kind", "interchange")
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("extra", [[], ["--oracle"]])
+def test_enumerate_cap_below_one_gives_exit_2(capsys, cap, extra):
+    code, out, err = run(
+        capsys, "enumerate", "--group", "Z2", "--kind", "skew-truss", "--cap", cap, *extra
+    )
+    assert code == 2
+    assert out == ""
+    assert "--cap must be at least 1" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -21,6 +22,8 @@ from trusslab import (
     verify,
 )
 from trusslab.enumeration import (
+    _lambda_search,
+    all_self_maps,
     constant_lambda_ditruss_key,
     idempotent_self_maps,
     interchange_key,
@@ -76,6 +79,61 @@ def test_constant_lambda_search_matches_oracle(name, imcomm):
         tuple(sorted(constant_lambda_ditruss_key(o) for o in result.structures))
         == oracle.keys
     )
+
+
+@pytest.mark.parametrize(
+    "name, total, classes", [("Z6", 4249, 2211), ("S3", 6178, 1150)]
+)
+def test_order_six_skew_truss_counts(name, total, classes):
+    result = enumerate_skew_trusses(builtin_group(name), cap=6)
+    assert (result.total_count, result.iso_class_count) == (total, classes)
+
+
+# ---------------------------------------------------------------------------
+# the lambda search against the scan it replaced
+
+def _reference_lambda_filter(G, sigma, skew):
+    """Every lambda assignment in End(G)^n, in lexicographic order of endo
+    indices, that satisfies (ii) lam_{a o b} = lam_a lam_b, and also
+    (i) sigma(a o b) = sigma(a) + lam_a(sigma(b)) when skew, where
+    a o b = sigma(a) + lam_a(b).  Scalar loops, no pruning."""
+    n = G.order
+    add = G.table
+    endos = [e.images for e in enumerate_endomorphisms(G)]
+    out = []
+    for digits in itertools.product(range(len(endos)), repeat=n):
+        lam = [endos[d] for d in digits]
+
+        def circ(a, b):
+            return add[sigma[a]][lam[a][b]]
+
+        if skew and not all(
+            sigma[circ(a, b)] == add[sigma[a]][lam[a][sigma[b]]]
+            for a in range(n)
+            for b in range(n)
+        ):
+            continue
+        if all(
+            lam[circ(a, b)][x] == lam[a][lam[b][x]]
+            for a in range(n)
+            for b in range(n)
+            for x in range(n)
+        ):
+            rows = tuple(tuple(circ(a, b) for b in range(n)) for a in range(n))
+            out.append((sigma, digits, tuple(lam), rows))
+    return out
+
+
+@pytest.mark.parametrize("skew", [True, False], ids=["skew", "weak"])
+@pytest.mark.parametrize("name, sample", [("Z4", 32), ("V4", 4), ("Z5", 40)])
+def test_lambda_search_matches_reference_filter(name, sample, skew):
+    G = builtin_group(name)
+    sigmas = random.Random(2025).sample(all_self_maps(G.order), sample)
+    expected = [
+        hit for sigma in sigmas for hit in _reference_lambda_filter(G, sigma, skew)
+    ]
+    assert expected  # the sample reaches some structures
+    assert list(_lambda_search(G, sigmas, require_condition_i=skew)) == expected
 
 
 def test_fixed_small_counts():
@@ -288,35 +346,4 @@ def test_enumeration_deterministic(Z3):
     ]
     assert [o.structure_key() for o in a.representatives] == [
         o.structure_key() for o in b.representatives
-    ]
-
-
-def test_threaded_search_matches_sequential(V4):
-    seq = enumerate_skew_trusses(V4, threads=1)
-    par = enumerate_skew_trusses(V4, threads=4)
-    assert [o.structure_key() for o in seq.structures] == [
-        o.structure_key() for o in par.structures
-    ]
-
-
-def test_worker_count_env(monkeypatch):
-    from trusslab.enumeration import worker_count
-
-    monkeypatch.delenv("TRUSSLAB_THREADS", raising=False)
-    assert worker_count() == 1
-    assert worker_count(3) == 3
-    monkeypatch.setenv("TRUSSLAB_THREADS", "5")
-    assert worker_count() == 5
-    monkeypatch.setenv("TRUSSLAB_THREADS", "abc")
-    with pytest.raises(InputError):
-        worker_count()
-
-
-def test_env_threads_match_sequential(monkeypatch, Z3):
-    G = builtin_group("Z3")
-    seq = enumerate_skew_trusses(G, threads=1)
-    monkeypatch.setenv("TRUSSLAB_THREADS", "2")
-    par = enumerate_skew_trusses(G)
-    assert [o.structure_key() for o in seq.structures] == [
-        o.structure_key() for o in par.structures
     ]

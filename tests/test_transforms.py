@@ -264,6 +264,16 @@ def test_opposite_zero_op_fixed(Z4):
     assert out.circ.table == nr.circ.table
 
 
+@pytest.mark.parametrize("name", ["V4", "D4", "Q8"])
+def test_opposite_of_every_interchange_near_ring_verifies(name):
+    # interchange_opposite marks its output verified without a check; the
+    # transpose of an interchange near-ring must pass one
+    for o in enumerate_interchange(builtin_group(name)).structures:
+        op, _ = interchange_opposite(o)
+        assert op.verified
+        assert check(make_interchange(op.group, op.circ)).ok
+
+
 def test_opposite_swaps_parameters(S3):
     # opposite corresponds to exchanging the two recovered endomorphisms
     for o in enumerate_interchange(S3, associative_only=True).structures:
