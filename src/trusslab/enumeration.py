@@ -94,30 +94,14 @@ def all_self_maps(n: int) -> list[tuple[int, ...]]:
     return [tuple(m) for m in itertools.product(range(n), repeat=n)]
 
 
-def idempotent_self_maps(n: int) -> list[tuple[int, ...]]:
-    """All maps f with f(f(a)) = f(a): fix a set of representatives, send
-    everything else into it."""
-    out = []
-    for mask in range(1, 1 << n):
-        fixed = [a for a in range(n) if mask >> a & 1]
-        free = [a for a in range(n) if not mask >> a & 1]
-        for choice in itertools.product(fixed, repeat=len(free)):
-            f = list(range(n))
-            for a, v in zip(free, choice):
-                f[a] = v
-            out.append(tuple(f))
-    out.sort()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # parametrized searches
 
-def _lambda_search(G: FiniteGroup, sigmas, require_condition_i: bool):
+def _lambda_search(G: FiniteGroup, sigmas, endomorphisms, require_condition_i: bool):
     """For each sigma, all lambda assignments satisfying (ii) (and (i) when
     requested).  Yields (sigma, digit-tuple, dot-rows, circ-rows) in
-    lexicographic (sigma, lambda) order, where digit a indexes lam_a in the
-    sorted endomorphism list.
+    lexicographic (sigma, lambda) order, where digit a indexes lam_a in
+    ``endomorphisms``, the sorted list enumerate_endomorphisms(G) returns.
 
     (i) involves lam_a alone, and only through s = sigma(a), so it filters
     the domain of every element a with sigma(a) = s at once.  The search
@@ -126,7 +110,7 @@ def _lambda_search(G: FiniteGroup, sigmas, require_condition_i: bool):
     assigned: its target c = sigma(x) + lam_x(y) is known by then, and
     lam_c = lam_x lam_y is checked if c is assigned and forced otherwise."""
     n = G.order
-    endos = [e.images for e in enumerate_endomorphisms(G)]
+    endos = [e.images for e in endomorphisms]
     index = {e: i for i, e in enumerate(endos)}
     comp = [[index[compose_maps(f, g)] for g in endos] for f in endos]
     # shifted[s][e]: the circ row b -> s + lam(b) of an element a with
@@ -227,7 +211,9 @@ def enumerate_skew_trusses(
     )
     start = time.perf_counter()
     structures = []
-    for sigma, _digits, _dot, circ_rows in _lambda_search(G, sigmas, require_condition_i=True):
+    for sigma, _digits, _dot, circ_rows in _lambda_search(
+        G, sigmas, endos, require_condition_i=True
+    ):
         structures.append(verify(make_algebra(G, SKEW_TRUSS, sigma=sigma, circ=circ_rows)))
     stats = {
         "candidates": candidates,
@@ -248,21 +234,21 @@ def enumerate_weak_trusses(
     constraint here; ``sigma_mode="idempotent-endomorphisms"`` restricts the
     sigma axis to idempotent endomorphisms."""
     n = G.order
+    endos = enumerate_endomorphisms(G)
     if sigma_mode == "all":
         sigmas = all_self_maps(n)
     elif sigma_mode == "idempotent-endomorphisms":
-        sigmas = [
-            e.images for e in enumerate_endomorphisms(G) if is_idempotent_map(e)
-        ]
+        sigmas = [e.images for e in endos if is_idempotent_map(e)]
     else:
         raise InputError(f"unknown sigma_mode {sigma_mode!r}")
-    endos = enumerate_endomorphisms(G)
     candidates = _budget_or_raise(
         WEAK_TRUSS, G, len(sigmas), len(endos) ** n, cap, budget
     )
     start = time.perf_counter()
     structures = []
-    for sigma, _digits, dot_rows, _circ in _lambda_search(G, sigmas, require_condition_i=False):
+    for sigma, _digits, dot_rows, _circ in _lambda_search(
+        G, sigmas, endos, require_condition_i=False
+    ):
         structures.append(verify(make_algebra(G, WEAK_TRUSS, sigma=sigma, dot=dot_rows)))
     stats = {"candidates": candidates, "seconds": time.perf_counter() - start}
     return _classify(G, WEAK_TRUSS, structures, stats)

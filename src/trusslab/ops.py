@@ -1,15 +1,24 @@
 """Binary operations on a group carrier as n×n tables, plus the law checks.
 
 The set of all binary operations on a carrier (G,+) is itself a group under
-pointwise addition; op_add/op_neg/op_sub implement it.  Every law predicate
-scans all triples (or quadruples) exhaustively and reports the
-lexicographically first violation; correctness over speed at these sizes.
+pointwise addition; op_add/op_neg/op_sub implement it.
+
+Every law predicate is exhaustive and reports the lexicographically first
+violation.  A law over triples (a, b, c) is checked one pair (a, b) at a
+time: each side, as a function of c, is built as a whole row by a gather
+(an operator.itemgetter over a table row) and the two rows are compared as
+tuples.  The interchange law compares, per (w, x), the n x n blocks over
+(y, z).  Single entries are looked at only inside the first unequal row,
+to find its first differing index, so the witness, lhs and rhs are those
+of a plain scan over every tuple in lexicographic order.  That scalar scan
+is kept, one loop per law, as the reference in tests/law_reference.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from operator import getitem, itemgetter
+from typing import Callable, Sequence
 
 from .errors import CarrierMismatch, InputError
 from .groups import EndoMap, FiniteGroup, MapLike, is_element
@@ -168,49 +177,72 @@ def op_opposite(f: BinOpTable) -> BinOpTable:
 # ---------------------------------------------------------------------------
 # law predicates
 
+def gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """row -> (row[i] for i in indices) as a tuple, in one C call.  A
+    one-index itemgetter returns a bare item, so order 1 gets a wrapper."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return itemgetter(*indices)
+
+
+_SUM_GATHERS: dict[tuple, tuple] = {}
+
+
+def _sum_gathers(G: FiniteGroup) -> tuple:
+    """Per b, the gather of the addition row b: row -> (row[b + c])_c.
+    Cached per group table."""
+    cached = _SUM_GATHERS.get(G.table)
+    if cached is None:
+        cached = _SUM_GATHERS[G.table] = tuple(map(gather, G.table))
+    return cached
+
+
+def _first_difference(lhs: Sequence, rhs: Sequence) -> int:
+    return next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+
+
+def law_violation(law: str, prefix: tuple[int, ...], lhs: Sequence, rhs: Sequence) -> LawReport:
+    """The failing report for two unequal rows of a law indexed by prefix:
+    the witness is prefix plus the first index where the rows differ."""
+    i = _first_difference(lhs, rhs)
+    return LawReport(law, False, prefix + (i,), lhs[i], rhs[i])
+
+
 def is_associative(f: BinOpTable) -> LawReport:
+    """(a*b)*c = a*(b*c): row a*b against row a gathered at row b."""
     t = f.table
-    n = f.order
-    for a in range(n):
-        for b in range(n):
-            ab = t[a][b]
-            for c in range(n):
-                lhs = t[ab][c]
-                rhs = t[a][t[b][c]]
-                if lhs != rhs:
-                    return LawReport("associativity", False, (a, b, c), lhs, rhs)
+    at = list(map(gather, t))
+    for a, ta in enumerate(t):
+        for b, gb in enumerate(at):
+            lhs, rhs = t[ta[b]], gb(ta)
+            if lhs != rhs:
+                return law_violation("associativity", (a, b), lhs, rhs)
     return LawReport("associativity", True)
 
 
 def is_left_distributive(f: BinOpTable) -> LawReport:
     """a*(b+c) = a*b + a*c."""
-    G = f.carrier
-    t, add = f.table, G.table
-    n = f.order
-    for a in range(n):
-        for b in range(n):
-            ab = t[a][b]
-            for c in range(n):
-                lhs = t[a][add[b][c]]
-                rhs = add[ab][t[a][c]]
-                if lhs != rhs:
-                    return LawReport("left-distributivity", False, (a, b, c), lhs, rhs)
+    add = f.carrier.table
+    by_sum = _sum_gathers(f.carrier)
+    for a, ta in enumerate(f.table):
+        ga = gather(ta)
+        for b, gb in enumerate(by_sum):
+            lhs, rhs = gb(ta), ga(add[ta[b]])
+            if lhs != rhs:
+                return law_violation("left-distributivity", (a, b), lhs, rhs)
     return LawReport("left-distributivity", True)
 
 
 def is_right_distributive(f: BinOpTable) -> LawReport:
     """(a+b)*c = a*c + b*c."""
-    G = f.carrier
-    t, add = f.table, G.table
-    n = f.order
-    for a in range(n):
-        for b in range(n):
-            ab = add[a][b]
-            for c in range(n):
-                lhs = t[ab][c]
-                rhs = add[t[a][c]][t[b][c]]
-                if lhs != rhs:
-                    return LawReport("right-distributivity", False, (a, b, c), lhs, rhs)
+    t, add = f.table, f.carrier.table
+    for a, ta in enumerate(t):
+        heads = gather(ta)(add)  # c -> the addition row a*c
+        for b, tb in enumerate(t):
+            lhs, rhs = t[add[a][b]], tuple(map(getitem, heads, tb))
+            if lhs != rhs:
+                return law_violation("right-distributivity", (a, b), lhs, rhs)
     return LawReport("right-distributivity", True)
 
 
@@ -218,17 +250,14 @@ def is_left_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport:
     """a*(b+c) = (a*b) - sigma(a) + (a*c)."""
     G = f.carrier
     s = check_map(G, sigma)
-    t, add, inv = f.table, G.table, G.inverse
-    n = f.order
-    for a in range(n):
-        neg_sa = inv[s[a]]
-        for b in range(n):
-            left_part = add[t[a][b]][neg_sa]
-            for c in range(n):
-                lhs = t[a][add[b][c]]
-                rhs = add[left_part][t[a][c]]
-                if lhs != rhs:
-                    return LawReport("left-skew-sigma-distributivity", False, (a, b, c), lhs, rhs)
+    add, inv = G.table, G.inverse
+    by_sum = _sum_gathers(G)
+    for a, ta in enumerate(f.table):
+        ga, neg_sa = gather(ta), inv[s[a]]
+        for b, gb in enumerate(by_sum):
+            lhs, rhs = gb(ta), ga(add[add[ta[b]][neg_sa]])
+            if lhs != rhs:
+                return law_violation("left-skew-sigma-distributivity", (a, b), lhs, rhs)
     return LawReport("left-skew-sigma-distributivity", True)
 
 
@@ -237,15 +266,14 @@ def is_right_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport
     G = f.carrier
     s = check_map(G, sigma)
     t, add, inv = f.table, G.table, G.inverse
-    n = f.order
-    for a in range(n):
-        for b in range(n):
-            ab = add[a][b]
-            for c in range(n):
-                lhs = t[ab][c]
-                rhs = add[add[t[a][c]][inv[s[c]]]][t[b][c]]
-                if lhs != rhs:
-                    return LawReport("right-skew-sigma-distributivity", False, (a, b, c), lhs, rhs)
+    negs = [inv[x] for x in s]
+    for a, ta in enumerate(t):
+        # c -> the addition row a*c - sigma(c)
+        heads = tuple(add[add[x][y]] for x, y in zip(ta, negs))
+        for b, tb in enumerate(t):
+            lhs, rhs = t[add[a][b]], tuple(map(getitem, heads, tb))
+            if lhs != rhs:
+                return law_violation("right-skew-sigma-distributivity", (a, b), lhs, rhs)
     return LawReport("right-skew-sigma-distributivity", True)
 
 
@@ -254,35 +282,37 @@ def is_left_weak_sigma_associative(f: BinOpTable, sigma: MapLike) -> LawReport:
     G = f.carrier
     s = check_map(G, sigma)
     t, add = f.table, G.table
-    n = f.order
-    for a in range(n):
-        sa = s[a]
-        for b in range(n):
-            e = add[sa][t[a][b]]
-            for c in range(n):
-                lhs = t[e][c]
-                rhs = t[a][t[b][c]]
-                if lhs != rhs:
-                    return LawReport("left-weak-sigma-associativity", False, (a, b, c), lhs, rhs)
+    at = list(map(gather, t))
+    for a, ta in enumerate(t):
+        shift = add[s[a]]
+        for b, gb in enumerate(at):
+            lhs, rhs = t[shift[ta[b]]], gb(ta)
+            if lhs != rhs:
+                return law_violation("left-weak-sigma-associativity", (a, b), lhs, rhs)
     return LawReport("left-weak-sigma-associativity", True)
 
 
 def satisfies_interchange(f: BinOpTable) -> LawReport:
-    """(w+x)*(y+z) = (w*y) + (x*z) over all quadruples."""
+    """(w+x)*(y+z) = (w*y) + (x*z) over all quadruples.  Per (w, x) the
+    n x n blocks over (y, z) are compared: the left block depends on w + x
+    alone, so it is built once per sum, on first use."""
     G = f.carrier
     t, add = f.table, G.table
-    n = f.order
-    for w in range(n):
-        for x in range(n):
+    by_sum = _sum_gathers(G)
+    at = list(map(gather, t))
+    blocks: list = [None] * f.order
+    for w, tw in enumerate(t):
+        heads = gather(tw)(add)  # y -> the addition row w*y
+        for x, gx in enumerate(at):
             wx = add[w][x]
-            for y in range(n):
-                wy = t[w][y]
+            lhs = blocks[wx]
+            if lhs is None:
                 row = t[wx]
-                for z in range(n):
-                    lhs = row[add[y][z]]
-                    rhs = add[wy][t[x][z]]
-                    if lhs != rhs:
-                        return LawReport("interchange", False, (w, x, y, z), lhs, rhs)
+                lhs = blocks[wx] = tuple([gy(row) for gy in by_sum])
+            rhs = tuple(map(gx, heads))
+            if lhs != rhs:
+                y = _first_difference(lhs, rhs)
+                return law_violation("interchange", (w, x, y), lhs[y], rhs[y])
     return LawReport("interchange", True)
 
 

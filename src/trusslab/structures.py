@@ -45,10 +45,12 @@ from .ops import (
     LawReport,
     binop,
     check_map,
+    gather,
     is_associative,
     is_left_distributive,
     is_left_skew_sigma_distributive,
     is_left_weak_sigma_associative,
+    law_violation,
     satisfies_interchange,
 )
 
@@ -194,16 +196,13 @@ def make_interchange(group, circ) -> AlgebraObject:
 
 
 def _ditruss_compatibility(obj: AlgebraObject) -> LawReport:
-    """sigma(a) + a.b = a o b for all a, b."""
+    """sigma(a) + a.b = a o b for all a, b: per a, the addition row sigma(a)
+    gathered at row a of dot against row a of circ."""
     add = obj.group.table
-    s, c, d = obj.sigma, obj.circ.table, obj.dot.table
-    for a in obj.group.elements:
-        sa = s[a]
-        for b in obj.group.elements:
-            lhs = add[sa][d[a][b]]
-            rhs = c[a][b]
-            if lhs != rhs:
-                return LawReport("sigma-plus-dot-equals-circ", False, (a, b), lhs, rhs)
+    for a, (sa, da, ca) in enumerate(zip(obj.sigma, obj.dot.table, obj.circ.table)):
+        lhs = gather(da)(add[sa])
+        if lhs != ca:
+            return law_violation("sigma-plus-dot-equals-circ", (a,), lhs, ca)
     return LawReport("sigma-plus-dot-equals-circ", True)
 
 

@@ -90,8 +90,10 @@ def skew_structures(name: str):
 
 @lru_cache(maxsize=None)
 def order_six_extras():
-    """Skew trusses on order-6 carriers (where the full search is out of
-    budget): the split-circ family and the conjugation family."""
+    """Skew trusses on order-6 carriers from two endomorphism-pair
+    constructions: the split-circ family and the conjugation family.  The
+    full order-6 search runs in Tier-1 time (Z6 and S3 are pinned in
+    test_enumeration.py); this corpus is a fixed subset of it."""
     out = []
     for name in ("Z6", "S3"):
         G = builtin_group(name)

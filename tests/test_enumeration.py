@@ -25,7 +25,6 @@ from trusslab.enumeration import (
     _lambda_search,
     all_self_maps,
     constant_lambda_ditruss_key,
-    idempotent_self_maps,
     interchange_key,
     raw_constant_lambda_ditruss_search,
     raw_interchange_search,
@@ -133,7 +132,9 @@ def test_lambda_search_matches_reference_filter(name, sample, skew):
         hit for sigma in sigmas for hit in _reference_lambda_filter(G, sigma, skew)
     ]
     assert expected  # the sample reaches some structures
-    assert list(_lambda_search(G, sigmas, require_condition_i=skew)) == expected
+    assert list(
+        _lambda_search(G, sigmas, enumerate_endomorphisms(G), require_condition_i=skew)
+    ) == expected
 
 
 def test_fixed_small_counts():
@@ -325,16 +326,6 @@ def test_oracles_reject_large_carriers():
         raw_skew_truss_search(Z4)
     with pytest.raises(CarrierTooLarge):
         raw_interchange_search(Z4)
-
-
-def test_idempotent_self_map_count():
-    # sum over image sizes k of C(n,k) * k^(n-k)
-    assert len(idempotent_self_maps(1)) == 1
-    assert len(idempotent_self_maps(2)) == 3
-    assert len(idempotent_self_maps(3)) == 10
-    assert len(idempotent_self_maps(4)) == 41
-    for f in idempotent_self_maps(3):
-        assert is_idempotent_map(f)
 
 
 def test_enumeration_deterministic(Z3):

@@ -1,0 +1,216 @@
+"""The row-gather law engine against its scalar reference.
+
+Every library predicate must return the same LawReport (law, holds,
+witness, lhs, rhs) as the plain scan in law_reference.py.  Inputs are random
+tables and maps, valid structures from the enumerators, and the same
+structures with one or two cells of a table (or one entry of sigma)
+changed, so that passing laws, failures at the first tuples and failures
+deep in the scan all occur.
+"""
+
+import functools
+import itertools
+import random
+
+import law_reference as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trusslab import (
+    binop,
+    builtin_group,
+    enumerate_constant_lambda_ditrusses,
+    enumerate_endomorphisms,
+    enumerate_interchange,
+    enumerate_skew_trusses,
+    enumerate_weak_trusses,
+    make_sigma_pi1,
+    ops,
+)
+from trusslab.structures import DITRUSS, _ditruss_compatibility, make_algebra
+
+GROUPS = ["Z1", "Z2", "Z3", "V4", "S3", "D4", "Q8", "Z8"]
+
+# (name, takes sigma) for every law predicate of trusslab.ops
+LAWS = [
+    ("is_associative", False),
+    ("is_left_distributive", False),
+    ("is_right_distributive", False),
+    ("is_left_skew_sigma_distributive", True),
+    ("is_right_skew_sigma_distributive", True),
+    ("is_left_weak_sigma_associative", True),
+    ("satisfies_interchange", False),
+]
+
+
+def law_reports(f, sigma):
+    """(library report, reference report) for every law on (f, sigma)."""
+    out = []
+    for name, takes_sigma in LAWS:
+        args = (f, sigma) if takes_sigma else (f,)
+        out.append((getattr(ops, name)(*args), getattr(ref, name)(*args)))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def valid_structures(name):
+    """(sigma, circ rows, dot rows) of valid structures on the group; circ
+    or dot is None where the kind has none.  Skew and weak trusses come from
+    the full searches on the groups of order <= 4 (weak: <= 3), constant-
+    lambda ditrusses and interchange near-rings from their enumerators on
+    every group."""
+    G = builtin_group(name)
+    out = []
+    if G.order <= 4:
+        for o in enumerate_skew_trusses(G).structures:
+            out.append((o.sigma, o.circ.table, None))
+    if G.order <= 3:
+        for o in enumerate_weak_trusses(G).structures:
+            out.append((o.sigma, None, o.dot.table))
+    for o in enumerate_constant_lambda_ditrusses(G).structures:
+        out.append((o.sigma, o.circ.table, o.dot.table))
+    for o in enumerate_interchange(G).structures:
+        out.append((tuple(row[0] for row in o.circ.table), o.circ.table, None))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def valid_law_cases(name):
+    """(table, sigma) pairs on which some laws hold: each valid structure's
+    tables with its sigma, a split circ sigma-pi1 + tau-pi2 with its column
+    map tau (right skew tau-distributive), and sigma-pi1 for every
+    endomorphism sigma (right distributive)."""
+    G = builtin_group(name)
+    cases = []
+    for sigma, circ, dot in valid_structures(name):
+        for table in (circ, dot):
+            if table is not None:
+                cases.append((table, sigma))
+        if circ is not None and dot is not None:
+            cases.append((circ, dot[0]))
+    for e in enumerate_endomorphisms(G):
+        cases.append((make_sigma_pi1(G, e).table, e.images))
+    return tuple(cases)
+
+
+def corrupt(below, table, n, cells):
+    """table with `cells` entries overwritten; below(k) picks from 0..k-1."""
+    rows = [list(r) for r in table]
+    for _ in range(cells):
+        a, b, v = (below(n) for _ in range(3))
+        rows[a][b] = v
+    return rows
+
+
+def drawn_below(draw):
+    return lambda k: draw(st.integers(0, k - 1))
+
+
+@st.composite
+def law_inputs(draw):
+    name = draw(st.sampled_from(GROUPS))
+    G = builtin_group(name)
+    n = G.order
+    element = st.integers(0, n - 1)
+    source = draw(st.sampled_from(["random", "valid", "corrupt-table", "corrupt-sigma"]))
+    if source == "random":
+        table = draw(st.lists(st.lists(element, min_size=n, max_size=n), min_size=n, max_size=n))
+        sigma = tuple(draw(st.lists(element, min_size=n, max_size=n)))
+    else:
+        table, sigma = draw(st.sampled_from(valid_law_cases(name)))
+        if source == "corrupt-table":
+            cells = draw(st.integers(1, 2))
+            table = corrupt(drawn_below(draw), table, n, cells)
+        elif source == "corrupt-sigma":
+            sigma = list(sigma)
+            sigma[draw(element)] = draw(element)
+            sigma = tuple(sigma)
+    return binop(G, table), sigma
+
+
+@settings(max_examples=400, deadline=None)
+@given(law_inputs())
+def test_law_reports_match_scalar_reference(case):
+    f, sigma = case
+    for library, reference in law_reports(f, sigma):
+        assert library == reference
+
+
+@st.composite
+def ditruss_inputs(draw):
+    name = draw(st.sampled_from(GROUPS))
+    G = builtin_group(name)
+    n = G.order
+    element = st.integers(0, n - 1)
+    pool = [s for s in valid_structures(name) if s[1] is not None]
+    sigma, circ, dot = draw(st.sampled_from(pool))
+    if dot is None:  # the dot with sigma(a) + a.b = a o b
+        add, inv = G.table, G.inverse
+        dot = [[add[inv[sigma[a]]][circ[a][b]] for b in range(n)] for a in range(n)]
+    source = draw(st.sampled_from(["valid", "corrupt-circ", "corrupt-dot", "random-dot"]))
+    if source == "corrupt-circ":
+        circ = corrupt(drawn_below(draw), circ, n, draw(st.integers(1, 2)))
+    elif source == "corrupt-dot":
+        dot = corrupt(drawn_below(draw), dot, n, draw(st.integers(1, 2)))
+    elif source == "random-dot":
+        dot = draw(st.lists(st.lists(element, min_size=n, max_size=n), min_size=n, max_size=n))
+    return make_algebra(G, DITRUSS, sigma=sigma, circ=circ, dot=dot)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ditruss_inputs())
+def test_ditruss_compatibility_matches_scalar_reference(obj):
+    assert _ditruss_compatibility(obj) == ref.ditruss_compatibility(obj)
+
+
+def test_reports_cover_holds_early_and_late_failures():
+    """A seeded sweep over every group: each law passes somewhere, fails at
+    a witness starting with 0 somewhere, and fails at a witness starting in
+    the second half of the carrier somewhere, with identical reports."""
+    rng = random.Random(6)
+    seen = {name: set() for name, _ in LAWS}
+    for group in GROUPS:
+        G = builtin_group(group)
+        n = G.order
+        cases = valid_law_cases(group)
+        for table, sigma in rng.sample(cases, min(len(cases), 60)):
+            for cells in (0, 1, 2):
+                f = binop(G, corrupt(rng.randrange, table, n, cells))
+                for (name, _), (library, reference) in zip(LAWS, law_reports(f, sigma)):
+                    assert library == reference
+                    if library.holds:
+                        seen[name].add("holds")
+                    elif library.witness[0] == 0:
+                        seen[name].add("early")
+                    elif library.witness[0] >= n // 2:
+                        seen[name].add("late")
+    assert all(kinds == {"holds", "early", "late"} for kinds in seen.values()), seen
+
+
+def test_order_one_every_law_holds():
+    G = builtin_group("Z1")
+    f = binop(G, [[0]])
+    for library, reference in law_reports(f, (0,)):
+        assert library == reference
+        assert library.holds and library.witness is None
+    obj = make_algebra(G, DITRUSS, sigma=(0,), circ=[[0]], dot=[[0]])
+    assert _ditruss_compatibility(obj) == ref.ditruss_compatibility(obj)
+    assert _ditruss_compatibility(obj).holds
+
+
+def test_order_two_exhaustive():
+    """Every table and map on Z2, and every (sigma, circ, dot) triple."""
+    G = builtin_group("Z2")
+    tables = [[list(t[:2]), list(t[2:])] for t in itertools.product(range(2), repeat=4)]
+    maps = list(itertools.product(range(2), repeat=2))
+    failures = 0
+    for rows in tables:
+        f = binop(G, rows)
+        for sigma in maps:
+            for library, reference in law_reports(f, sigma):
+                assert library == reference
+                failures += not library.holds
+    assert failures
+    for sigma, circ, dot in itertools.product(maps, tables, tables):
+        obj = make_algebra(G, DITRUSS, sigma=sigma, circ=circ, dot=dot)
+        assert _ditruss_compatibility(obj) == ref.ditruss_compatibility(obj)
