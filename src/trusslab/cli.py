@@ -172,27 +172,22 @@ def _oracle_payload(group, kind) -> dict:
     if kind == SKEW_TRUSS:
         oracle = enumeration.raw_skew_truss_search(group)
         result = enumeration.enumerate_skew_trusses(group)
-        param_keys = tuple(enumeration.skew_truss_key(o) for o in result.structures)
     elif kind == WEAK_TRUSS:
         oracle = enumeration.raw_weak_truss_search(group)
         result = enumeration.enumerate_weak_trusses(group)
-        param_keys = tuple(enumeration.weak_truss_key(o) for o in result.structures)
     elif kind == DITRUSS:
         oracle = enumeration.raw_constant_lambda_ditruss_search(group)
         result = enumeration.enumerate_constant_lambda_ditrusses(group)
-        param_keys = tuple(
-            enumeration.constant_lambda_ditruss_key(o) for o in result.structures
-        )
     else:
         oracle = enumeration.raw_interchange_search(group)
         result = enumeration.enumerate_interchange(group)
-        param_keys = tuple(enumeration.interchange_key(o) for o in result.structures)
+    param_keys = tuple(sorted(o.structure_key() for o in result.structures))
     return {
         "group": group.name,
         "kind": kind,
         "oracle_count": oracle.count,
         "parametrized_count": result.total_count,
-        "agreement": oracle.keys == tuple(sorted(param_keys)),
+        "agreement": oracle.keys == param_keys,
     }
 
 

@@ -40,7 +40,7 @@ from .groups import (
     is_idempotent_map,
     validate_group,
 )
-from .ops import is_associative, make_sigma_pi1, make_tau_pi2, op_add
+from .ops import BinOpTable, gather, is_associative
 from .structures import (
     DITRUSS,
     INTERCHANGE,
@@ -214,7 +214,8 @@ def enumerate_skew_trusses(
     for sigma, _digits, _dot, circ_rows in _lambda_search(
         G, sigmas, endos, require_condition_i=True
     ):
-        structures.append(verify(make_algebra(G, SKEW_TRUSS, sigma=sigma, circ=circ_rows)))
+        circ = BinOpTable(G, circ_rows)
+        structures.append(verify(make_algebra(G, SKEW_TRUSS, sigma=sigma, circ=circ)))
     stats = {
         "candidates": candidates,
         "seconds": time.perf_counter() - start,
@@ -249,9 +250,17 @@ def enumerate_weak_trusses(
     for sigma, _digits, dot_rows, _circ in _lambda_search(
         G, sigmas, endos, require_condition_i=False
     ):
-        structures.append(verify(make_algebra(G, WEAK_TRUSS, sigma=sigma, dot=dot_rows)))
+        dot = BinOpTable(G, dot_rows)
+        structures.append(verify(make_algebra(G, WEAK_TRUSS, sigma=sigma, dot=dot)))
     stats = {"candidates": candidates, "seconds": time.perf_counter() - start}
     return _classify(G, WEAK_TRUSS, structures, stats)
+
+
+def _sum_of_projections(G: FiniteGroup, left, right) -> BinOpTable:
+    """The table a o b = left(a) + right(b), read off the addition table:
+    row a is the addition row left(a) gathered at the images of right."""
+    pull = gather(right)
+    return BinOpTable(G, tuple(pull(G.table[x]) for x in left))
 
 
 def enumerate_interchange(
@@ -274,7 +283,7 @@ def enumerate_interchange(
                 and compose_commute(eps, eta)
             ):
                 continue
-            circ = op_add(make_sigma_pi1(G, eps), make_tau_pi2(G, eta))
+            circ = _sum_of_projections(G, eps.images, eta.images)
             obj = verify(make_algebra(G, INTERCHANGE, circ=circ))
             if associative_only and not is_associative(obj.circ).holds:
                 raise TrussLabError("idempotent commuting pair lost associativity")
@@ -310,31 +319,48 @@ def enumerate_constant_lambda_ditrusses(
                 continue
             if image_commuting_only and not image_commuting(G, sig, tau):
                 continue
-            circ = op_add(make_sigma_pi1(G, sig), make_tau_pi2(G, tau))
+            circ = _sum_of_projections(G, sig.images, tau.images)
+            dot = BinOpTable(G, (tau.images,) * G.order)
             structures.append(
-                verify(
-                    make_algebra(
-                        G, DITRUSS, sigma=sig.images, circ=circ, dot=make_tau_pi2(G, tau)
-                    )
-                )
+                verify(make_algebra(G, DITRUSS, sigma=sig.images, circ=circ, dot=dot))
             )
     stats = {"candidates": len(endos) ** 2, "seconds": time.perf_counter() - start}
     return _classify(G, DITRUSS, structures, stats)
 
 
 def _classify(G, kind, structures, stats) -> ClassificationResult:
-    structures.sort(key=lambda o: o.structure_key())
-    reps: dict[tuple, AlgebraObject] = {}
-    for obj in structures:
-        key, h = _orbit_min(obj)
-        if key not in reps:
-            reps[key] = relabel_structure(obj, h)
+    """Sort the structures by structure_key and mark orbits.
+
+    The enumerated set is closed under Aut(G), so the first structure in
+    sorted order that is not yet marked is the least of its orbit: it is
+    the class representative as it stands.  The structures at its image
+    keys are then marked, so each class costs one walk over Aut(G).  An
+    image key missing from the set would make that first structure a false
+    minimum, so it raises."""
+    keyed = sorted(((o.structure_key(), o) for o in structures), key=itemgetter(0))
+    position = {key: i for i, (key, _) in enumerate(keyed)}
+    marked = bytearray(len(keyed))
+    sigma_parts = int(kind != INTERCHANGE)
+    reps = []
+    for i, (key, obj) in enumerate(keyed):
+        if marked[i]:
+            continue
+        reps.append(obj)
+        for _h, image in _orbit_images(G, key, sigma_parts):
+            j = position.get(image)
+            if j is None:
+                raise TrussLabError(
+                    f"{kind} classification on {G.name} is not closed under "
+                    f"automorphisms: an image of {key} was not enumerated"
+                )
+            marked[j] = 1
+    structures[:] = [obj for _, obj in keyed]
     return ClassificationResult(
         group_name=G.name,
         kind=kind,
         total_count=len(structures),
         iso_class_count=len(reps),
-        representatives=[reps[k] for k in sorted(reps)],
+        representatives=reps,
         search_stats=stats,
         structures=structures,
     )
@@ -371,9 +397,21 @@ def _pullbacks(G: FiniteGroup) -> tuple:
     return cached
 
 
+def _orbit_images(G: FiniteGroup, key: tuple, sigma_parts: int):
+    """(h, image of key under h) for every automorphism h of G but the
+    identity; the first sigma_parts parts of key are maps, the rest tables."""
+    for h, pull_sigma, pull_table in _pullbacks(G):
+        push = h.__getitem__
+        yield h, tuple(
+            tuple(map(push, (pull_sigma if i < sigma_parts else pull_table)(part)))
+            for i, part in enumerate(key)
+        )
+
+
 def _orbit_min(obj: AlgebraObject) -> tuple[tuple, tuple[int, ...]]:
     """The least structure_key over the automorphism orbit of obj, and an
-    automorphism (as images) that carries obj to it.
+    automorphism (as images) that carries obj to it; canonical_key,
+    canonical_form and are_isomorphic take one object at a time through it.
 
     Automorphisms preserve every axiom, so only obj itself is verified, and
     only if it has not been already; its images are compared as keys and
@@ -382,13 +420,7 @@ def _orbit_min(obj: AlgebraObject) -> tuple[tuple, tuple[int, ...]]:
         verify(obj)
     key = obj.structure_key()
     best, best_h = key, tuple(range(obj.order))
-    sigma_parts = 0 if obj.sigma is None else 1
-    for h, pull_sigma, pull_table in _pullbacks(obj.group):
-        push = h.__getitem__
-        image = tuple(
-            tuple(map(push, (pull_sigma if i < sigma_parts else pull_table)(part)))
-            for i, part in enumerate(key)
-        )
+    for h, image in _orbit_images(obj.group, key, 0 if obj.sigma is None else 1):
         if image < best:
             best, best_h = image, h
     return best, best_h
@@ -456,7 +488,7 @@ def are_isomorphic(a: AlgebraObject, b: AlgebraObject) -> bool:
 @dataclass(frozen=True)
 class OracleResult:
     count: int
-    keys: tuple  # sorted serializations of everything found
+    keys: tuple  # sorted structure_key() of everything found
 
 
 def _require_tiny(G: FiniteGroup, what: str) -> None:
@@ -570,7 +602,7 @@ def raw_interchange_search(G: FiniteGroup, associative_only: bool = False) -> Or
     good = (lhs == rhs).all(axis=(1, 2, 3, 4))
     if associative_only:
         good &= _assoc_mask(tables)
-    keys = sorted(tuple(int(x) for x in flat[i]) for i in np.flatnonzero(good))
+    keys = sorted((tuple(int(x) for x in flat[i]),) for i in np.flatnonzero(good))
     return OracleResult(count=len(keys), keys=tuple(keys))
 
 
@@ -607,25 +639,10 @@ def raw_constant_lambda_ditruss_search(
                 continue
             if image_commuting_only and not image_commuting(G, sigma, tau):
                 continue
-            keys.append((tuple(sigma), tuple(int(x) for x in tables[i].reshape(-1))))
+            keys.append((
+                tuple(sigma),
+                tuple(int(x) for x in tables[i].reshape(-1)),
+                tuple(int(x) for x in dot[i].reshape(-1)),
+            ))
     keys.sort()
     return OracleResult(count=len(keys), keys=tuple(keys))
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers shared with the parametrized side
-
-def skew_truss_key(obj: AlgebraObject) -> tuple:
-    return (obj.sigma, tuple(x for row in obj.circ.table for x in row))
-
-
-def weak_truss_key(obj: AlgebraObject) -> tuple:
-    return (obj.sigma, tuple(x for row in obj.dot.table for x in row))
-
-
-def interchange_key(obj: AlgebraObject) -> tuple:
-    return tuple(x for row in obj.circ.table for x in row)
-
-
-def constant_lambda_ditruss_key(obj: AlgebraObject) -> tuple:
-    return (obj.sigma, tuple(x for row in obj.circ.table for x in row))

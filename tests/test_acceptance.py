@@ -62,7 +62,6 @@ from trusslab import (
 from trusslab.enumeration import (
     raw_interchange_search,
     raw_skew_truss_search,
-    skew_truss_key,
 )
 from trusslab.cli import main as cli_main
 
@@ -152,7 +151,7 @@ def test_c03_parametrization_oracle():
             oracle = raw_skew_truss_search(G)
             assert skew.total_count == oracle.count
             assert (
-                tuple(sorted(skew_truss_key(o) for o in skew.structures))
+                tuple(sorted(o.structure_key() for o in skew.structures))
                 == oracle.keys
             )
             inter = enumerate_interchange(G)  # embeds its own oracle check

@@ -13,24 +13,32 @@ import pytest
 
 from trusslab.cli import main
 
+# (group, kind, --up-to-iso, --cap or None), digest
 CASES = [
-    (("V4", "skew-truss", False), "5988d42502c0bdf6fb1ef2155f5f5a4119da0ae684ff84bd4871aebd22be299c"),
-    (("V4", "skew-truss", True), "b1b26cced78d9654d7f7e5b62d08a2fbbd3bcecc785a281f286985037c2f9602"),
-    (("Z3", "weak-truss", False), "87b370c929d1482b8acd3b474c223cb4c375c75ca9599fd36c45180b57de35e9"),
-    (("Z4", "ditruss", False), "edf7d32c776005d742f7ed41665a227d3dada2011a212484e5e95050bcb94995"),
-    (("D4", "interchange", True), "2358331209983544438074b9242b4e09dd9d383a4b211e8189975e0ff5540361"),
-    (("Q8", "interchange", True), "72a3ae349501bf4332a4ffd5b65ce765730ec42601aea30b9b2aec1130b962a7"),
+    (("V4", "skew-truss", False, None), "5988d42502c0bdf6fb1ef2155f5f5a4119da0ae684ff84bd4871aebd22be299c"),
+    (("V4", "skew-truss", True, None), "b1b26cced78d9654d7f7e5b62d08a2fbbd3bcecc785a281f286985037c2f9602"),
+    (("Z3", "weak-truss", False, None), "87b370c929d1482b8acd3b474c223cb4c375c75ca9599fd36c45180b57de35e9"),
+    (("Z4", "ditruss", False, None), "edf7d32c776005d742f7ed41665a227d3dada2011a212484e5e95050bcb94995"),
+    (("D4", "interchange", True, None), "2358331209983544438074b9242b4e09dd9d383a4b211e8189975e0ff5540361"),
+    (("Q8", "interchange", True, None), "72a3ae349501bf4332a4ffd5b65ce765730ec42601aea30b9b2aec1130b962a7"),
+    (("Z5", "skew-truss", True, 5), "25aeddc6b0b153518aaaa92ba0993e16aba02f91ff8ab1f7c0b44647fb77c7bc"),
+    (("V4", "weak-truss", True, None), "8dd04bdd86047c41bf1882d7292e71ac00bda6a8b4d1018bb293ee2e991feb8a"),
+    (("V4", "ditruss", True, None), "2010595355bd2a8ec056dc2f77b2b3e3288a336fea01fbc7e7608e3c4bab1b31"),
+    (("V4", "interchange", True, None), "22d811cd02b3bd181a796f05d99291797fd6a3ba4082a812f4b8de068490fb18"),
+    (("Z6", "skew-truss", True, 6), "87e270cd472b17744b8283bc431253d8648a2def4d58a3c76998baa90623865c"),
 ]
 
 
 @pytest.mark.parametrize(
-    "args, digest", CASES, ids=[f"{g}-{k}{'-iso' if iso else ''}" for (g, k, iso), _ in CASES]
+    "args, digest", CASES, ids=[f"{g}-{k}{'-iso' if iso else ''}" for (g, k, iso, _), _ in CASES]
 )
 def test_enumerate_stdout_digest(capsys, args, digest):
-    group, kind, up_to_iso = args
+    group, kind, up_to_iso, cap = args
     argv = ["enumerate", "--group", group, "--kind", kind]
     if up_to_iso:
         argv.append("--up-to-iso")
+    if cap is not None:
+        argv += ["--cap", str(cap)]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

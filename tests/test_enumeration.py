@@ -24,14 +24,10 @@ from trusslab import (
 from trusslab.enumeration import (
     _lambda_search,
     all_self_maps,
-    constant_lambda_ditruss_key,
-    interchange_key,
     raw_constant_lambda_ditruss_search,
     raw_interchange_search,
     raw_skew_truss_search,
     raw_weak_truss_search,
-    skew_truss_key,
-    weak_truss_key,
 )
 from trusslab.errors import CarrierTooLarge, GroupMismatch, InputError
 
@@ -45,7 +41,7 @@ def test_skew_truss_search_matches_oracle(name):
     result = enumerate_skew_trusses(G)
     oracle = raw_skew_truss_search(G)
     assert result.total_count == oracle.count
-    assert tuple(sorted(skew_truss_key(o) for o in result.structures)) == oracle.keys
+    assert tuple(sorted(o.structure_key() for o in result.structures)) == oracle.keys
 
 
 @pytest.mark.parametrize("name", ["Z1", "Z2", "Z3"])
@@ -54,7 +50,7 @@ def test_weak_truss_search_matches_oracle(name):
     result = enumerate_weak_trusses(G)
     oracle = raw_weak_truss_search(G)
     assert result.total_count == oracle.count
-    assert tuple(sorted(weak_truss_key(o) for o in result.structures)) == oracle.keys
+    assert tuple(sorted(o.structure_key() for o in result.structures)) == oracle.keys
 
 
 @pytest.mark.parametrize("name", ["Z1", "Z2", "Z3"])
@@ -64,7 +60,7 @@ def test_interchange_search_matches_oracle(name, assoc):
     result = enumerate_interchange(G, associative_only=assoc)
     oracle = raw_interchange_search(G, associative_only=assoc)
     assert result.total_count == oracle.count
-    assert tuple(sorted(interchange_key(o) for o in result.structures)) == oracle.keys
+    assert tuple(sorted(o.structure_key() for o in result.structures)) == oracle.keys
 
 
 @pytest.mark.parametrize("name", ["Z1", "Z2", "Z3"])
@@ -74,10 +70,7 @@ def test_constant_lambda_search_matches_oracle(name, imcomm):
     result = enumerate_constant_lambda_ditrusses(G, image_commuting_only=imcomm)
     oracle = raw_constant_lambda_ditruss_search(G, image_commuting_only=imcomm)
     assert result.total_count == oracle.count
-    assert (
-        tuple(sorted(constant_lambda_ditruss_key(o) for o in result.structures))
-        == oracle.keys
-    )
+    assert tuple(sorted(o.structure_key() for o in result.structures)) == oracle.keys
 
 
 @pytest.mark.parametrize(
@@ -293,11 +286,11 @@ def test_weak_truss_transport(Z4, V4):
             for o in enumerate_skew_trusses(G).structures
             if o.sigma_flags().endomorphism and o.sigma_flags().idempotent
         ]
-        transported = {weak_truss_key(truss_to_weak(o)[0]) for o in skew}
+        transported = {truss_to_weak(o)[0].structure_key() for o in skew}
         assert len(transported) == len(skew)
         weak = enumerate_weak_trusses(G, sigma_mode="idempotent-endomorphisms")
         sliding = {
-            weak_truss_key(w)
+            w.structure_key()
             for w in weak.structures
             if all(
                 w.sigma[w.dot.table[a][b]] == w.dot.table[a][w.sigma[b]]
