@@ -13,23 +13,7 @@ import sys
 
 from . import enumeration, substructure, transforms
 from .catalog import builtin_names, resolve_group
-from .errors import (
-    DotNotColumnConstant,
-    DotNotDistributive,
-    GroupValidationError,
-    HypothesisFailed,
-    InputError,
-    NotAnIdeal,
-    NotEndomorphism,
-    NotIdempotent,
-    NotInterchange,
-    NotVerified,
-    PreconditionFailed,
-    SigmaDoesNotFixZero,
-    SigmaNotIdempotentEndo,
-    TrussLabError,
-    VerificationFailed,
-)
+from .errors import GroupValidationError, InputError, SemanticError, TrussLabError
 from .structures import (
     DITRUSS,
     SKEW_TRUSS,
@@ -42,27 +26,12 @@ from .structures import (
     skew_truss_consequence_report,
     structure_from_json,
     structure_to_json,
+    verify,
 )
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
-
-# errors that reflect a structure failing a semantic requirement, not bad input
-_SEMANTIC_ERRORS = (
-    VerificationFailed,
-    HypothesisFailed,
-    NotInterchange,
-    NotAnIdeal,
-    NotVerified,
-    SigmaNotIdempotentEndo,
-    SigmaDoesNotFixZero,
-    DotNotColumnConstant,
-    DotNotDistributive,
-    PreconditionFailed,
-    NotIdempotent,
-    NotEndomorphism,
-)
 
 
 def _emit(payload: dict, output: str | None) -> None:
@@ -119,12 +88,7 @@ def cmd_convert(args) -> int:
     source = normalize_kind(args.source) if args.source else obj.kind
     if source != obj.kind:
         raise InputError(f"input object has kind {obj.kind}, --from says {source}")
-    result = check(obj)
-    if not result.ok:
-        bad = next(r for r in result.reports if not r.holds)
-        raise VerificationFailed(
-            f"input fails {bad.law} at {bad.witness}", report=bad
-        )
+    verify(obj)
     target = normalize_kind(args.target)
     converted, record = transforms.convert(obj, target)
     payload = {
@@ -193,10 +157,7 @@ def _oracle_payload(group, kind) -> dict:
 
 def cmd_decompose(args) -> int:
     obj = _load_structure(args.input)
-    result = check(obj)
-    if not result.ok:
-        bad = next(r for r in result.reports if not r.holds)
-        raise VerificationFailed(f"input fails {bad.law} at {bad.witness}", report=bad)
+    verify(obj)
     t0, tc = substructure.zero_symmetric_constant_decomposition(obj)
     payload: dict = {"T0": list(t0), "Tc": list(tc)}
     if obj.kind == SKEW_TRUSS:
@@ -305,7 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _SEMANTIC_ERRORS as exc:
+    except SemanticError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, getattr(args, "output", None))
         _note(f"failure: {exc}")
         return EXIT_SEMANTIC

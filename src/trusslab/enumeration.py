@@ -88,27 +88,20 @@ class ClassificationResult:
 
 
 # ---------------------------------------------------------------------------
-# small combinatorial generators
+# parametrized search
 
-def all_self_maps(n: int) -> list[tuple[int, ...]]:
-    return [tuple(m) for m in itertools.product(range(n), repeat=n)]
+def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: bool):
+    """All (sigma, lambda) pairs with sigma(a) in sigma_domains[a] and every
+    lam_a in ``endomorphisms`` (the sorted list enumerate_endomorphisms(G)
+    returns) that satisfy (ii), and (i) when condition_i.  Yields
+    (sigma, digit-tuple, dot-rows, circ-rows), where digit a indexes lam_a.
 
-
-# ---------------------------------------------------------------------------
-# parametrized searches
-
-def _lambda_search(G: FiniteGroup, sigmas, endomorphisms, require_condition_i: bool):
-    """For each sigma, all lambda assignments satisfying (ii) (and (i) when
-    requested).  Yields (sigma, digit-tuple, dot-rows, circ-rows) in
-    lexicographic (sigma, lambda) order, where digit a indexes lam_a in
-    ``endomorphisms``, the sorted list enumerate_endomorphisms(G) returns.
-
-    (i) involves lam_a alone, and only through s = sigma(a), so it filters
-    the domain of every element a with sigma(a) = s at once.  The search
-    then assigns lam_0, lam_1, ... in index order, each domain in increasing
-    order.  The instance (x, y) of (ii) is decided when max(x, y) is
-    assigned: its target c = sigma(x) + lam_x(y) is known by then, and
-    lam_c = lam_x lam_y is checked if c is assigned and forced otherwise."""
+    The search assigns the pair (sigma(k), lam_k) for k = 0, 1, ..., each
+    in increasing order.  The instance (x, y) of (i) and (ii) is decided
+    when max(x, y) is assigned: its target c = sigma(x) + lam_x(y) is known
+    by then, and sigma(c) = sigma(x) + lam_x(sigma(y)) and
+    lam_c = lam_x lam_y are checked if c is assigned and forced on c
+    otherwise.  For a fixed sigma, lambdas come in lexicographic order."""
     n = G.order
     endos = [e.images for e in endomorphisms]
     index = {e: i for i, e in enumerate(endos)}
@@ -116,59 +109,47 @@ def _lambda_search(G: FiniteGroup, sigmas, endomorphisms, require_condition_i: b
     # shifted[s][e]: the circ row b -> s + lam(b) of an element a with
     # sigma(a) = s and lam_a = endos[e]
     shifted = [[tuple(row[x] for x in e) for e in endos] for row in G.table]
-    gathers = [[itemgetter(*r) for r in rows] for rows in shifted]
     pairs = [[(k, y) for y in range(k + 1)] + [(x, k) for x in range(k)] for k in range(n)]
     all_endos = range(len(endos))
+    sigma = [0] * n
     digits = [0] * n
     rows: list = [None] * n
-    forced: list = [None] * n
+    # sigma(c) and lam_c forced on c > k by the instances decided so far
+    forced_sigma: list = [None] * n
+    forced_digit: list = [None] * n
 
-    def extend(k, sigma, domains, hits):
+    def extend(k):
         if k == n:
-            hits.append(tuple(digits))
+            yield tuple(sigma), tuple(digits), tuple(map(endos.__getitem__, digits)), tuple(rows)
             return
-        f = forced[k]
-        for e in domains[k] if f is None else (f,) if f in domains[k] else ():
-            digits[k] = e
-            rows[k] = shifted[sigma[k]][e]
-            placed = []
-            for x, y in pairs[k]:
-                c = rows[x][y]
-                v = comp[digits[x]][digits[y]]
-                if c <= k:
-                    if digits[c] != v:
+        fs, fe = forced_sigma[k], forced_digit[k]
+        domain = sigma_domains[k]
+        for s in domain if fs is None else (fs,) if fs in domain else ():
+            sigma[k] = s
+            for e in all_endos if fe is None else (fe,):
+                digits[k] = e
+                rows[k] = shifted[s][e]
+                placed = []
+                for x, y in pairs[k]:
+                    row = rows[x]
+                    c = row[y]
+                    v = comp[digits[x]][digits[y]]
+                    if c <= k:
+                        if digits[c] != v or condition_i and sigma[c] != row[sigma[y]]:
+                            break
+                    elif forced_digit[c] is None:
+                        forced_digit[c] = v
+                        if condition_i:
+                            forced_sigma[c] = row[sigma[y]]
+                        placed.append(c)
+                    elif forced_digit[c] != v or condition_i and forced_sigma[c] != row[sigma[y]]:
                         break
-                elif forced[c] is None:
-                    forced[c] = v
-                    placed.append(c)
-                elif forced[c] != v:
-                    break
-            else:
-                extend(k + 1, sigma, domains, hits)
-            for c in placed:
-                forced[c] = None
+                else:
+                    yield from extend(k + 1)
+                for c in placed:
+                    forced_sigma[c] = forced_digit[c] = None
 
-    for sigma in sigmas:
-        if require_condition_i:
-            pull = itemgetter(*sigma)
-            domain_of = {
-                s: [e for e, row in enumerate(shifted[s]) if gathers[s][e](sigma) == pull(row)]
-                for s in set(sigma)
-            }
-            if not all(domain_of.values()):
-                continue
-            domains = [domain_of[s] for s in sigma]
-        else:
-            domains = [all_endos] * n
-        hits: list = []
-        extend(0, sigma, domains, hits)
-        for digit_tuple in hits:
-            yield (
-                sigma,
-                digit_tuple,
-                tuple(endos[e] for e in digit_tuple),
-                tuple(shifted[s][e] for s, e in zip(sigma, digit_tuple)),
-            )
+    return extend(0)
 
 
 def _budget_or_raise(kind: str, G: FiniteGroup, sigma_count: int, lam_count: int,
@@ -204,15 +185,12 @@ def enumerate_skew_trusses(
     0, so pruning by it would lose structures.  Every emitted object is
     re-verified against the raw axioms."""
     n = G.order
-    sigmas = all_self_maps(n)
     endos = enumerate_endomorphisms(G)
-    candidates = _budget_or_raise(
-        SKEW_TRUSS, G, len(sigmas), len(endos) ** n, cap, budget
-    )
+    candidates = _budget_or_raise(SKEW_TRUSS, G, n ** n, len(endos) ** n, cap, budget)
     start = time.perf_counter()
     structures = []
-    for sigma, _digits, _dot, circ_rows in _lambda_search(
-        G, sigmas, endos, require_condition_i=True
+    for sigma, _digits, _dot, circ_rows in _joint_search(
+        G, endos, [range(n)] * n, condition_i=True
     ):
         circ = BinOpTable(G, circ_rows)
         structures.append(verify(make_algebra(G, SKEW_TRUSS, sigma=sigma, circ=circ)))
@@ -228,27 +206,17 @@ def enumerate_weak_trusses(
     G: FiniteGroup,
     cap: int = ORDER_CAP_DEFAULT,
     budget: int = CANDIDATE_BUDGET,
-    sigma_mode: str = "all",
 ) -> ClassificationResult:
     """All weak trusses on G: pairs (dot, sigma) with dot left distributive
     and left weakly sigma-associative.  sigma carries no idempotency
-    constraint here; ``sigma_mode="idempotent-endomorphisms"`` restricts the
-    sigma axis to idempotent endomorphisms."""
+    constraint here."""
     n = G.order
     endos = enumerate_endomorphisms(G)
-    if sigma_mode == "all":
-        sigmas = all_self_maps(n)
-    elif sigma_mode == "idempotent-endomorphisms":
-        sigmas = [e.images for e in endos if is_idempotent_map(e)]
-    else:
-        raise InputError(f"unknown sigma_mode {sigma_mode!r}")
-    candidates = _budget_or_raise(
-        WEAK_TRUSS, G, len(sigmas), len(endos) ** n, cap, budget
-    )
+    candidates = _budget_or_raise(WEAK_TRUSS, G, n ** n, len(endos) ** n, cap, budget)
     start = time.perf_counter()
     structures = []
-    for sigma, _digits, dot_rows, _circ in _lambda_search(
-        G, sigmas, endos, require_condition_i=False
+    for sigma, _digits, dot_rows, _circ in _joint_search(
+        G, endos, [range(n)] * n, condition_i=False
     ):
         dot = BinOpTable(G, dot_rows)
         structures.append(verify(make_algebra(G, WEAK_TRUSS, sigma=sigma, dot=dot)))

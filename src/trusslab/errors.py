@@ -7,6 +7,12 @@ class TrussLabError(Exception):
     """Base class for all trusslab errors."""
 
 
+class SemanticError(TrussLabError):
+    """A structure fails a semantic requirement (an axiom, a hypothesis, a
+    precondition); the command line exits 1 on these and 2 on every other
+    error."""
+
+
 class InputError(TrussLabError):
     """Malformed input data (bad JSON shape, out-of-range entries, unknown kind)."""
 
@@ -43,11 +49,11 @@ class MissingComponent(TrussLabError):
     """An algebra object lacks a component its kind requires."""
 
 
-class NotVerified(TrussLabError):
+class NotVerified(SemanticError):
     """Operation requires an object that already passed check()."""
 
 
-class VerificationFailed(TrussLabError):
+class VerificationFailed(SemanticError):
     """check() found a failing axiom; ``report`` is the first failing LawReport."""
 
     def __init__(self, message: str, report=None):
@@ -55,31 +61,31 @@ class VerificationFailed(TrussLabError):
         self.report = report
 
 
-class NotIdempotent(TrussLabError):
+class NotIdempotent(SemanticError):
     pass
 
 
-class NotEndomorphism(TrussLabError):
+class NotEndomorphism(SemanticError):
     pass
 
 
-class SigmaNotIdempotentEndo(TrussLabError):
+class SigmaNotIdempotentEndo(SemanticError):
     """The unary map must be an idempotent group endomorphism here."""
 
 
-class SigmaDoesNotFixZero(TrussLabError):
+class SigmaDoesNotFixZero(SemanticError):
     pass
 
 
-class DotNotDistributive(TrussLabError):
+class DotNotDistributive(SemanticError):
     pass
 
 
-class DotNotColumnConstant(TrussLabError):
+class DotNotColumnConstant(SemanticError):
     """The second operation must depend only on its second argument."""
 
 
-class HypothesisFailed(TrussLabError):
+class HypothesisFailed(SemanticError):
     """A named transform hypothesis does not hold; ``flag`` says which one."""
 
     def __init__(self, flag: str, message: str = ""):
@@ -87,15 +93,15 @@ class HypothesisFailed(TrussLabError):
         self.flag = flag
 
 
-class NotInterchange(TrussLabError):
+class NotInterchange(SemanticError):
     pass
 
 
-class NotAnIdeal(TrussLabError):
+class NotAnIdeal(SemanticError):
     pass
 
 
-class PreconditionFailed(TrussLabError):
+class PreconditionFailed(SemanticError):
     pass
 
 

@@ -206,6 +206,11 @@ def test_convert_rejects_invalid_input_structure(capsys):
     )
     assert code == 1
     assert payload["error"] == "VerificationFailed"
+    code, decomposed, _ = run_json(
+        capsys, "decompose", "--input", str(FIXTURES / "bad_skew.json")
+    )
+    assert code == 1
+    assert decomposed == payload  # both report verify's first failure
 
 
 def test_convert_ditruss_involution_and_interchange(capsys):
@@ -428,3 +433,64 @@ def test_convert_involution_needs_column_constant_dot(capsys, tmp_path):
     code, payload, _ = run_json(capsys, "convert", "--input", str(path), "--to", "ditruss")
     assert code == 1
     assert payload["error"] == "DotNotColumnConstant"
+
+
+# ---------------------------------------------------------------------------
+# exit codes follow the error hierarchy
+
+SEMANTIC_ERROR_NAMES = [
+    "VerificationFailed",
+    "HypothesisFailed",
+    "NotInterchange",
+    "NotAnIdeal",
+    "NotVerified",
+    "SigmaNotIdempotentEndo",
+    "SigmaDoesNotFixZero",
+    "DotNotColumnConstant",
+    "DotNotDistributive",
+    "PreconditionFailed",
+    "NotIdempotent",
+    "NotEndomorphism",
+]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_semantic_errors_are_exactly_the_twelve():
+    from trusslab.errors import SemanticError
+
+    assert sorted(c.__name__ for c in _subclasses(SemanticError)) == sorted(
+        SEMANTIC_ERROR_NAMES
+    )
+
+
+def _raise_from_load(monkeypatch, exc):
+    def load(path):
+        raise exc
+
+    monkeypatch.setattr("trusslab.cli._load_structure", load)
+
+
+@pytest.mark.parametrize("name", SEMANTIC_ERROR_NAMES)
+def test_semantic_error_exits_1_with_its_name(name, monkeypatch, capsys):
+    from trusslab import errors
+
+    _raise_from_load(monkeypatch, getattr(errors, name)("boom"))
+    code, payload, _ = run_json(capsys, "verify", "--input", "unused.json")
+    assert code == 1
+    assert payload["error"] == name
+
+
+@pytest.mark.parametrize("name", ["InputError", "CarrierTooLarge"])
+def test_input_errors_exit_2(name, monkeypatch, capsys):
+    from trusslab import errors
+
+    _raise_from_load(monkeypatch, getattr(errors, name)("boom"))
+    code, out, err = run(capsys, "verify", "--input", "unused.json")
+    assert code == 2
+    assert out == ""
+    assert "boom" in err

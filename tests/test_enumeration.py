@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -12,7 +13,9 @@ from trusslab import (
     enumerate_interchange,
     enumerate_skew_trusses,
     enumerate_weak_trusses,
+    image_commuting,
     is_idempotent_map,
+    lambda_family,
     make_projection_ops,
     make_skew_truss,
     relabel_structure,
@@ -22,8 +25,7 @@ from trusslab import (
     verify,
 )
 from trusslab.enumeration import (
-    _lambda_search,
-    all_self_maps,
+    _joint_search,
     raw_constant_lambda_ditruss_search,
     raw_interchange_search,
     raw_skew_truss_search,
@@ -73,16 +75,38 @@ def test_constant_lambda_search_matches_oracle(name, imcomm):
     assert tuple(sorted(o.structure_key() for o in result.structures)) == oracle.keys
 
 
+@functools.lru_cache(maxsize=None)
+def _skew_trusses(name):
+    """The full skew-truss classification on a built-in group of order <= 6,
+    computed once per session."""
+    return enumerate_skew_trusses(builtin_group(name), cap=6)
+
+
 @pytest.mark.parametrize(
     "name, total, classes", [("Z6", 4249, 2211), ("S3", 6178, 1150)]
 )
 def test_order_six_skew_truss_counts(name, total, classes):
-    result = enumerate_skew_trusses(builtin_group(name), cap=6)
+    result = _skew_trusses(name)
     assert (result.total_count, result.iso_class_count) == (total, classes)
 
 
+def test_z7_skew_truss_counts():
+    result = enumerate_skew_trusses(builtin_group("Z7"), cap=7)
+    assert (result.total_count, result.iso_class_count) == (20449, 3440)
+
+
+@pytest.mark.parametrize(
+    "name, total", [("Z6", 246900), ("S3", 339654)], ids=["Z6-weak", "S3-weak"]
+)
+def test_order_six_search_totals(name, total):
+    # weak trusses through the search alone: no object is built or verified
+    G = builtin_group(name)
+    hits = _joint_search(G, enumerate_endomorphisms(G), [range(G.order)] * G.order, False)
+    assert sum(1 for _ in hits) == total
+
+
 # ---------------------------------------------------------------------------
-# the lambda search against the scan it replaced
+# the joint search against a scalar filter over the whole lambda space
 
 def _reference_lambda_filter(G, sigma, skew):
     """Every lambda assignment in End(G)^n, in lexicographic order of endo
@@ -120,14 +144,19 @@ def _reference_lambda_filter(G, sigma, skew):
 @pytest.mark.parametrize("name, sample", [("Z4", 32), ("V4", 4), ("Z5", 40)])
 def test_lambda_search_matches_reference_filter(name, sample, skew):
     G = builtin_group(name)
-    sigmas = random.Random(2025).sample(all_self_maps(G.order), sample)
+    self_maps = list(itertools.product(range(G.order), repeat=G.order))
+    sigmas = random.Random(2025).sample(self_maps, sample)
     expected = [
         hit for sigma in sigmas for hit in _reference_lambda_filter(G, sigma, skew)
     ]
     assert expected  # the sample reaches some structures
-    assert list(
-        _lambda_search(G, sigmas, enumerate_endomorphisms(G), require_condition_i=skew)
-    ) == expected
+    endos = enumerate_endomorphisms(G)
+    # each sampled sigma as one-value domains
+    assert [
+        hit
+        for sigma in sigmas
+        for hit in _joint_search(G, endos, [(s,) for s in sigma], skew)
+    ] == expected
 
 
 def test_fixed_small_counts():
@@ -288,11 +317,12 @@ def test_weak_truss_transport(Z4, V4):
         ]
         transported = {truss_to_weak(o)[0].structure_key() for o in skew}
         assert len(transported) == len(skew)
-        weak = enumerate_weak_trusses(G, sigma_mode="idempotent-endomorphisms")
         sliding = {
             w.structure_key()
-            for w in weak.structures
-            if all(
+            for w in enumerate_weak_trusses(G).structures
+            if w.sigma_flags().endomorphism
+            and w.sigma_flags().idempotent
+            and all(
                 w.sigma[w.dot.table[a][b]] == w.dot.table[a][w.sigma[b]]
                 for a in G.elements
                 for b in G.elements
@@ -302,12 +332,49 @@ def test_weak_truss_transport(Z4, V4):
 
 
 # ---------------------------------------------------------------------------
+# skew trusses with constant lambda against associative interchange
+# near-rings: the general search assumes neither constant lambda nor
+# idempotency, so only the filter below selects the family
+
+def _in_constant_lambda_family(G, obj):
+    """lambda is constant, and sigma and lam_0 are image-commuting
+    idempotent endomorphisms."""
+    flags = obj.sigma_flags()
+    if not (flags.endomorphism and flags.idempotent):
+        return False
+    lam = lambda_family(obj)
+    lam0 = lam.maps[0]
+    return (
+        lam.constant
+        and lam0.is_endomorphism
+        and is_idempotent_map(lam0)
+        and image_commuting(G, obj.sigma, lam0)
+    )
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "Z5", "V4", "Z6", "S3"])
+def test_constant_lambda_skew_trusses_are_associative_interchange(name):
+    G = builtin_group(name)
+    skew = _skew_trusses(name)
+    family = [o for o in skew.structures if _in_constant_lambda_family(G, o)]
+    interchange = enumerate_interchange(G, associative_only=True)
+    assert family
+    assert sorted(o.circ.table for o in family) == sorted(
+        o.circ.table for o in interchange.structures
+    )
+    # the family is closed under automorphisms, so its classes are the
+    # skew-truss classes whose representative lies in it
+    classes = sum(1 for o in skew.representatives if _in_constant_lambda_family(G, o))
+    assert classes == interchange.iso_class_count
+
+
+# ---------------------------------------------------------------------------
 # caps and guards
 
 def test_order_cap_and_guard():
     S3 = builtin_group("S3")
     with pytest.raises(CarrierTooLarge):
-        enumerate_skew_trusses(S3)  # |End|^6 = 10^6 over budget even at cap 6
+        enumerate_skew_trusses(S3)  # 6^6 * 10^6 candidates: over budget at the default cap
     Z5 = builtin_group("Z5")
     result = enumerate_skew_trusses(Z5)  # order 5 passes via the guard
     assert result.total_count > 0

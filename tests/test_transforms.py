@@ -130,8 +130,9 @@ def test_weak_completion_associative_iff_sigma_slides(V4):
     from trusslab.enumeration import enumerate_weak_trusses
     from trusslab.ops import is_associative
 
-    weak = enumerate_weak_trusses(V4, sigma_mode="idempotent-endomorphisms")
-    for w in weak.structures:
+    for w in enumerate_weak_trusses(V4).structures:
+        if not (w.sigma_flags().endomorphism and w.sigma_flags().idempotent):
+            continue
         s, d = w.sigma, w.dot.table
         slides = all(
             s[d[a][b]] == d[a][s[b]] for a in range(4) for b in range(4)
