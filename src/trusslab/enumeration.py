@@ -37,10 +37,11 @@ from .groups import (
     compose_maps,
     enumerate_endomorphisms,
     image_commuting,
+    image_commuting_masks,
     is_idempotent_map,
     validate_group,
 )
-from .ops import BinOpTable, gather, is_associative
+from .ops import BinOpTable, addition_maps, is_associative
 from .structures import (
     DITRUSS,
     INTERCHANGE,
@@ -225,10 +226,10 @@ def enumerate_weak_trusses(
 
 
 def _sum_of_projections(G: FiniteGroup, left, right) -> BinOpTable:
-    """The table a o b = left(a) + right(b), read off the addition table:
-    row a is the addition row left(a) gathered at the images of right."""
-    pull = gather(right)
-    return BinOpTable(G, tuple(pull(G.table[x]) for x in left))
+    """The table a o b = left(a) + right(b): row a is the images of right
+    mapped through the addition row left(a)."""
+    plus, images = addition_maps(G).left, bytes(right)
+    return BinOpTable(G, tuple([tuple(images.translate(plus[x])) for x in left]))
 
 
 def enumerate_interchange(
@@ -240,10 +241,11 @@ def enumerate_interchange(
     cross-checked against the raw table scan."""
     endos = enumerate_endomorphisms(G)
     start = time.perf_counter()
+    images, centralizers = image_commuting_masks(G, endos)
     structures = []
-    for eps in endos:
-        for eta in endos:
-            if not image_commuting(G, eps, eta):
+    for eps, centralizer in zip(endos, centralizers):
+        for eta, image in zip(endos, images):
+            if image & ~centralizer:
                 continue
             if associative_only and not (
                 is_idempotent_map(eps)
@@ -280,12 +282,13 @@ def enumerate_constant_lambda_ditrusses(
     near-rings."""
     endos = [e for e in enumerate_endomorphisms(G) if is_idempotent_map(e)]
     start = time.perf_counter()
+    images, centralizers = image_commuting_masks(G, endos)
     structures = []
-    for sig in endos:
-        for tau in endos:
+    for sig, centralizer in zip(endos, centralizers):
+        for tau, image in zip(endos, images):
             if not compose_commute(sig, tau):
                 continue
-            if image_commuting_only and not image_commuting(G, sig, tau):
+            if image_commuting_only and image & ~centralizer:
                 continue
             circ = _sum_of_projections(G, sig.images, tau.images)
             dot = BinOpTable(G, (tau.images,) * G.order)

@@ -23,6 +23,8 @@ from .errors import (
 )
 
 SUBGROUP_ORDER_CAP = 12
+# the law engine (trusslab.ops) stores carrier elements as bytes
+MAX_CARRIER_ORDER = 256
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,8 @@ def _table_rows(table) -> tuple[tuple[int, ...], ...]:
     if not isinstance(table, (list, tuple)) or not table:
         raise InputError("Cayley table must be a non-empty list of rows")
     n = len(table)
+    if n > MAX_CARRIER_ORDER:
+        raise CarrierTooLarge(f"carriers are capped at order {MAX_CARRIER_ORDER}, got {n}")
     for a, row in enumerate(table):
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise InputError(f"row {a} is not a list of {n} entries")
@@ -259,6 +263,22 @@ def image_commuting(G: FiniteGroup, f: MapLike, g: MapLike) -> bool:
     fvals = sorted(set(fi))
     gvals = sorted(set(gi))
     return all(t[x][y] == t[y][x] for x in fvals for y in gvals)
+
+
+def image_commuting_masks(G: FiniteGroup, maps: Sequence[MapLike]) -> tuple[list[int], list[int]]:
+    """Per map f, the bitmask of its image and of the centralizer of its
+    image: image_commuting(G, f, g) iff images[g] & ~centralizers[f] == 0."""
+    t = G.table
+    commuting = [sum(1 << y for y in G.elements if t[x][y] == t[y][x]) for x in G.elements]
+    images, centralizers = [], []
+    for m in maps:
+        image = set(images_of(m))
+        images.append(sum(1 << x for x in image))
+        centralizer = (1 << G.order) - 1
+        for x in image:
+            centralizer &= commuting[x]
+        centralizers.append(centralizer)
+    return images, centralizers
 
 
 def enumerate_endomorphisms(G: FiniteGroup) -> list[EndoMap]:

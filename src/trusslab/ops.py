@@ -4,21 +4,23 @@ The set of all binary operations on a carrier (G,+) is itself a group under
 pointwise addition; op_add/op_neg/op_sub implement it.
 
 Every law predicate is exhaustive and reports the lexicographically first
-violation.  A law over triples (a, b, c) is checked one pair (a, b) at a
-time: each side, as a function of c, is built as a whole row by a gather
-(an operator.itemgetter over a table row) and the two rows are compared as
-tuples.  The interchange law compares, per (w, x), the n x n blocks over
-(y, z).  Single entries are looked at only inside the first unequal row,
-to find its first differing index, so the witness, lhs and rhs are those
-of a plain scan over every tuple in lexicographic order.  That scalar scan
-is kept, one loop per law, as the reference in tests/law_reference.py.
+violation.  Table rows are read as bytes, one byte per element (so carriers
+have order at most 256).  For each value of the law's first variable, each
+side is built as one string over the other variables, in lexicographic
+order, by two C-level primitives: bytes.translate with a row padded to 256
+bytes, which applies the row as a map, and bytes.join over strings picked
+by element values.  One == compares the two strings, and the first
+differing offset of an unequal pair unravels into the witness, lhs and rhs
+that a plain scan over every tuple in lexicographic order gives.  That
+scalar scan is kept, one loop per law, as the reference in
+tests/law_reference.py.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from operator import getitem, itemgetter
-from typing import Callable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CarrierMismatch, InputError
 from .groups import EndoMap, FiniteGroup, MapLike, is_element
@@ -177,143 +179,153 @@ def op_opposite(f: BinOpTable) -> BinOpTable:
 # ---------------------------------------------------------------------------
 # law predicates
 
-def gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """row -> (row[i] for i in indices) as a tuple, in one C call.  A
-    one-index itemgetter returns a bare item, so order 1 gets a wrapper."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda row: (row[i],)
-    return itemgetter(*indices)
+def _pad(row: bytes) -> bytes:
+    """A row as a bytes.translate table: the map x -> row[x]."""
+    return row.ljust(256, b"\0")
 
 
-_SUM_GATHERS: dict[tuple, tuple] = {}
+class AdditionMaps(NamedTuple):
+    """The addition table of a group in the forms the law engine reads."""
+
+    rows: tuple[bytes, ...]  # row g: (g + x) over x
+    flat: bytes  # (b + c) over (b, c)
+    left: tuple[bytes, ...]  # g -> the table of x -> g + x
+    right: tuple[bytes, ...]  # g -> the table of x -> x + g
 
 
-def _sum_gathers(G: FiniteGroup) -> tuple:
-    """Per b, the gather of the addition row b: row -> (row[b + c])_c.
-    Cached per group table."""
-    cached = _SUM_GATHERS.get(G.table)
+_ADDITION_MAPS: dict[tuple, AdditionMaps] = {}
+
+
+def addition_maps(G: FiniteGroup) -> AdditionMaps:
+    """The AdditionMaps of G, cached per group table."""
+    cached = _ADDITION_MAPS.get(G.table)
     if cached is None:
-        cached = _SUM_GATHERS[G.table] = tuple(map(gather, G.table))
+        rows = tuple(map(bytes, G.table))
+        columns = tuple(map(bytes, zip(*G.table)))
+        cached = _ADDITION_MAPS[G.table] = AdditionMaps(
+            rows, b"".join(rows), tuple(map(_pad, rows)), tuple(map(_pad, columns))
+        )
     return cached
 
 
-def _first_difference(lhs: Sequence, rhs: Sequence) -> int:
-    return next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+def _first_offset(lhs: bytes, rhs: bytes) -> int:
+    """The first offset where two unequal strings differ: read as
+    big-endian integers, their xor has its top bit in that byte."""
+    xor = int.from_bytes(lhs, "big") ^ int.from_bytes(rhs, "big")
+    return len(lhs) - (xor.bit_length() + 7) // 8
 
 
-def law_violation(law: str, prefix: tuple[int, ...], lhs: Sequence, rhs: Sequence) -> LawReport:
-    """The failing report for two unequal rows of a law indexed by prefix:
-    the witness is prefix plus the first index where the rows differ."""
-    i = _first_difference(lhs, rhs)
-    return LawReport(law, False, prefix + (i,), lhs[i], rhs[i])
+def law_violation(law: str, prefix: tuple[int, ...], lhs: bytes, rhs: bytes, n: int) -> LawReport:
+    """The failing report for unequal blocks listing a law's sides over its
+    remaining coordinates in lexicographic order: their first differing
+    offset, unravelled base n, extends the prefix to the witness."""
+    i = _first_offset(lhs, rhs)
+    witness, size = list(prefix), len(lhs)
+    while size > 1:
+        size //= n
+        witness.append(i // size % n)
+    return LawReport(law, False, tuple(witness), lhs[i], rhs[i])
+
+
+@functools.cache
+def holds(law: str) -> LawReport:
+    """The passing report of a law: reports are immutable, so one serves."""
+    return LawReport(law, True)
+
+
+def _left_weak(f: BinOpTable, s: Sequence[int], law: str) -> LawReport:
+    """(s(a) + a*b)*c = a*(b*c): per a, the rows t[s(a) + a*b] joined,
+    against every b*c mapped through row a."""
+    plus = addition_maps(f.carrier).left
+    rows = list(map(bytes, f.table))
+    flat = b"".join(rows)
+    for a, (r, sa) in enumerate(zip(rows, s)):
+        lhs = b"".join([rows[x] for x in r.translate(plus[sa])])
+        rhs = flat.translate(_pad(r))
+        if lhs != rhs:
+            return law_violation(law, (a,), lhs, rhs, len(rows))
+    return holds(law)
+
+
+def _skew_blocks(G: FiniteGroup, lines: Iterable[bytes], s: Sequence[int]) -> Iterator[tuple]:
+    """Per line x (a row or a column of a table, read as a map) with shift
+    s(x): the blocks over (b, c) of x(b + c) and x(b) - s(x) + x(c)."""
+    k = addition_maps(G)
+    for x, sx in zip(lines, s):
+        yield (
+            k.flat.translate(_pad(x)),
+            b"".join([x.translate(k.left[g]) for g in x.translate(k.right[G.inverse[sx]])]),
+        )
+
+
+def _left_skew(f: BinOpTable, s: Sequence[int], law: str) -> LawReport:
+    """a*(b+c) = (a*b) - s(a) + (a*c), per a, on row a."""
+    for a, (lhs, rhs) in enumerate(_skew_blocks(f.carrier, map(bytes, f.table), s)):
+        if lhs != rhs:
+            return law_violation(law, (a,), lhs, rhs, f.order)
+    return holds(law)
+
+
+def _right_skew(f: BinOpTable, s: Sequence[int], law: str) -> LawReport:
+    """(a+b)*c = (a*c) - s(c) + (b*c): for each c, the law of _left_skew
+    on column c, over (a, b).  The witness is the least (a, b, c) among the
+    first violations of the failing columns."""
+    n = f.order
+    first = None  # (offset of (a, b), c, lhs, rhs) of the least violation so far
+    for c, (lhs, rhs) in enumerate(_skew_blocks(f.carrier, map(bytes, zip(*f.table)), s)):
+        end = n * n if first is None else first[0]  # ties keep the smaller c
+        if lhs[:end] != rhs[:end]:
+            first = (_first_offset(lhs[:end], rhs[:end]), c, lhs, rhs)
+    if first is None:
+        return holds(law)
+    i, c, lhs, rhs = first
+    return LawReport(law, False, (i // n, i % n, c), lhs[i], rhs[i])
 
 
 def is_associative(f: BinOpTable) -> LawReport:
-    """(a*b)*c = a*(b*c): row a*b against row a gathered at row b."""
-    t = f.table
-    at = list(map(gather, t))
-    for a, ta in enumerate(t):
-        for b, gb in enumerate(at):
-            lhs, rhs = t[ta[b]], gb(ta)
-            if lhs != rhs:
-                return law_violation("associativity", (a, b), lhs, rhs)
-    return LawReport("associativity", True)
+    """(a*b)*c = a*(b*c)."""
+    return _left_weak(f, (0,) * f.order, "associativity")
 
 
 def is_left_distributive(f: BinOpTable) -> LawReport:
     """a*(b+c) = a*b + a*c."""
-    add = f.carrier.table
-    by_sum = _sum_gathers(f.carrier)
-    for a, ta in enumerate(f.table):
-        ga = gather(ta)
-        for b, gb in enumerate(by_sum):
-            lhs, rhs = gb(ta), ga(add[ta[b]])
-            if lhs != rhs:
-                return law_violation("left-distributivity", (a, b), lhs, rhs)
-    return LawReport("left-distributivity", True)
+    return _left_skew(f, (0,) * f.order, "left-distributivity")
 
 
 def is_right_distributive(f: BinOpTable) -> LawReport:
     """(a+b)*c = a*c + b*c."""
-    t, add = f.table, f.carrier.table
-    for a, ta in enumerate(t):
-        heads = gather(ta)(add)  # c -> the addition row a*c
-        for b, tb in enumerate(t):
-            lhs, rhs = t[add[a][b]], tuple(map(getitem, heads, tb))
-            if lhs != rhs:
-                return law_violation("right-distributivity", (a, b), lhs, rhs)
-    return LawReport("right-distributivity", True)
+    return _right_skew(f, (0,) * f.order, "right-distributivity")
 
 
 def is_left_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport:
     """a*(b+c) = (a*b) - sigma(a) + (a*c)."""
-    G = f.carrier
-    s = check_map(G, sigma)
-    add, inv = G.table, G.inverse
-    by_sum = _sum_gathers(G)
-    for a, ta in enumerate(f.table):
-        ga, neg_sa = gather(ta), inv[s[a]]
-        for b, gb in enumerate(by_sum):
-            lhs, rhs = gb(ta), ga(add[add[ta[b]][neg_sa]])
-            if lhs != rhs:
-                return law_violation("left-skew-sigma-distributivity", (a, b), lhs, rhs)
-    return LawReport("left-skew-sigma-distributivity", True)
+    return _left_skew(f, check_map(f.carrier, sigma), "left-skew-sigma-distributivity")
 
 
 def is_right_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport:
     """(a+b)*c = (a*c) - sigma(c) + (b*c)."""
-    G = f.carrier
-    s = check_map(G, sigma)
-    t, add, inv = f.table, G.table, G.inverse
-    negs = [inv[x] for x in s]
-    for a, ta in enumerate(t):
-        # c -> the addition row a*c - sigma(c)
-        heads = tuple(add[add[x][y]] for x, y in zip(ta, negs))
-        for b, tb in enumerate(t):
-            lhs, rhs = t[add[a][b]], tuple(map(getitem, heads, tb))
-            if lhs != rhs:
-                return law_violation("right-skew-sigma-distributivity", (a, b), lhs, rhs)
-    return LawReport("right-skew-sigma-distributivity", True)
+    return _right_skew(f, check_map(f.carrier, sigma), "right-skew-sigma-distributivity")
 
 
 def is_left_weak_sigma_associative(f: BinOpTable, sigma: MapLike) -> LawReport:
     """(sigma(a) + a*b)*c = a*(b*c)."""
-    G = f.carrier
-    s = check_map(G, sigma)
-    t, add = f.table, G.table
-    at = list(map(gather, t))
-    for a, ta in enumerate(t):
-        shift = add[s[a]]
-        for b, gb in enumerate(at):
-            lhs, rhs = t[shift[ta[b]]], gb(ta)
-            if lhs != rhs:
-                return law_violation("left-weak-sigma-associativity", (a, b), lhs, rhs)
-    return LawReport("left-weak-sigma-associativity", True)
+    return _left_weak(f, check_map(f.carrier, sigma), "left-weak-sigma-associativity")
 
 
 def satisfies_interchange(f: BinOpTable) -> LawReport:
-    """(w+x)*(y+z) = (w*y) + (x*z) over all quadruples.  Per (w, x) the
-    n x n blocks over (y, z) are compared: the left block depends on w + x
-    alone, so it is built once per sum, on first use."""
-    G = f.carrier
-    t, add = f.table, G.table
-    by_sum = _sum_gathers(G)
-    at = list(map(gather, t))
-    blocks: list = [None] * f.order
-    for w, tw in enumerate(t):
-        heads = gather(tw)(add)  # y -> the addition row w*y
-        for x, gx in enumerate(at):
-            wx = add[w][x]
-            lhs = blocks[wx]
-            if lhs is None:
-                row = t[wx]
-                lhs = blocks[wx] = tuple([gy(row) for gy in by_sum])
-            rhs = tuple(map(gx, heads))
-            if lhs != rhs:
-                y = _first_difference(lhs, rhs)
-                return law_violation("interchange", (w, x, y), lhs[y], rhs[y])
-    return LawReport("interchange", True)
+    """(w+x)*(y+z) = (w*y) + (x*z), per w over (x, y, z).  The left block
+    of x over (y, z) depends on w + x alone, and the right one is row x
+    shifted by each w*y; both come from strings built once per structure."""
+    k = addition_maps(f.carrier)
+    rows = list(map(bytes, f.table))
+    by_sum = [k.flat.translate(_pad(r)) for r in rows]  # s -> t[s][y + z]
+    shifted = [[r.translate(p) for p in k.left] for r in rows]  # x -> h -> h + t[x][z]
+    for w, r in enumerate(rows):
+        lhs = b"".join([by_sum[x] for x in k.rows[w]])
+        rhs = b"".join([by_h[h] for by_h in shifted for h in r])
+        if lhs != rhs:
+            return law_violation("interchange", (w,), lhs, rhs, len(rows))
+    return holds("interchange")
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,10 @@ from .groups import (
 from .ops import (
     BinOpTable,
     LawReport,
+    addition_maps,
     binop,
     check_map,
-    gather,
+    holds,
     is_associative,
     is_left_distributive,
     is_left_skew_sigma_distributive,
@@ -196,14 +197,14 @@ def make_interchange(group, circ) -> AlgebraObject:
 
 
 def _ditruss_compatibility(obj: AlgebraObject) -> LawReport:
-    """sigma(a) + a.b = a o b for all a, b: per a, the addition row sigma(a)
-    gathered at row a of dot against row a of circ."""
-    add = obj.group.table
+    """sigma(a) + a.b = a o b for all a, b: per a, row a of dot mapped
+    through the addition row sigma(a), against row a of circ."""
+    plus = addition_maps(obj.group).left
     for a, (sa, da, ca) in enumerate(zip(obj.sigma, obj.dot.table, obj.circ.table)):
-        lhs = gather(da)(add[sa])
-        if lhs != ca:
-            return law_violation("sigma-plus-dot-equals-circ", (a,), lhs, ca)
-    return LawReport("sigma-plus-dot-equals-circ", True)
+        lhs, rhs = bytes(da).translate(plus[sa]), bytes(ca)
+        if lhs != rhs:
+            return law_violation("sigma-plus-dot-equals-circ", (a,), lhs, rhs, obj.group.order)
+    return holds("sigma-plus-dot-equals-circ")
 
 
 def check(obj: AlgebraObject) -> CheckResult:

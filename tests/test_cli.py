@@ -285,6 +285,23 @@ def test_enumerate_oracle_too_large(capsys):
     assert code == 2
 
 
+def test_carrier_above_256_exits_2(capsys, tmp_path):
+    """The law engine stores elements as bytes: an inline group of order
+    257 is refused as too large before its table is scanned."""
+    n = 257
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    doc = tmp_path / "z257.json"
+    doc.write_text(json.dumps({
+        "kind": "interchange-nr",
+        "group": {"name": "Z257", "order": n, "table": table},
+        "circ": table,
+    }))
+    code, out, err = run(capsys, "verify", "--input", str(doc))
+    assert code == 2
+    assert out == ""
+    assert "257" in err and "Traceback" not in err
+
+
 def test_enumerate_inline_group_file(capsys, tmp_path):
     gfile = tmp_path / "group.json"
     gfile.write_text(

@@ -27,6 +27,7 @@ from trusslab.errors import (
 from trusslab.groups import (
     EndoMap,
     compose_maps,
+    image_commuting_masks,
     is_abelian,
     is_endomorphism_images,
     subgroups,
@@ -205,6 +206,24 @@ def test_subgroup_cap():
     Z13 = validate_group([[(a + b) % 13 for b in range(13)] for a in range(13)])
     with pytest.raises(CarrierTooLarge):
         subgroups(Z13)
+
+
+def test_carrier_bound_comes_before_the_entry_scan():
+    # 257 rows of junk: the order alone refuses the table
+    with pytest.raises(CarrierTooLarge):
+        validate_group([["x"]] * 257)
+    with pytest.raises(CarrierTooLarge):
+        group_from_json({"table": [["x"]] * 257})
+
+
+def test_image_commuting_masks_agree_with_image_commuting():
+    for name in builtin_names():
+        G = builtin_group(name)
+        endos = enumerate_endomorphisms(G)
+        images, centralizers = image_commuting_masks(G, endos)
+        for f, centralizer in zip(endos, centralizers):
+            for g, image in zip(endos, images):
+                assert (image & ~centralizer == 0) == image_commuting(G, f, g), (name, f, g)
 
 
 def test_automorphisms_structure():

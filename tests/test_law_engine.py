@@ -1,11 +1,12 @@
-"""The row-gather law engine against its scalar reference.
+"""The bytes law engine against its scalar reference.
 
 Every library predicate must return the same LawReport (law, holds,
 witness, lhs, rhs) as the plain scan in law_reference.py.  Inputs are random
 tables and maps, valid structures from the enumerators, and the same
 structures with one or two cells of a table (or one entry of sigma)
 changed, so that passing laws, failures at the first tuples and failures
-deep in the scan all occur.
+deep in the scan all occur.  The witness-edge cases change only the last
+or only the first cell (or entry of sigma), on Z1, Z8, Q8 and Z13.
 """
 
 import functools
@@ -13,6 +14,7 @@ import itertools
 import random
 
 import law_reference as ref
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,9 +29,12 @@ from trusslab import (
     make_sigma_pi1,
     ops,
 )
+from trusslab.groups import validate_group
 from trusslab.structures import DITRUSS, _ditruss_compatibility, make_algebra
 
 GROUPS = ["Z1", "Z2", "Z3", "V4", "S3", "D4", "Q8", "Z8"]
+# the witness-edge cases: order 1, two groups of order 8, and Z13
+EDGE_GROUPS = ["Z1", "Z8", "Q8", "Z13"]
 
 # (name, takes sigma) for every law predicate of trusslab.ops
 LAWS = [
@@ -41,6 +46,14 @@ LAWS = [
     ("is_left_weak_sigma_associative", True),
     ("satisfies_interchange", False),
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def group(name):
+    """A built-in group, or Z13."""
+    if name == "Z13":
+        return validate_group([[(a + b) % 13 for b in range(13)] for a in range(13)], "Z13")
+    return builtin_group(name)
 
 
 def law_reports(f, sigma):
@@ -59,7 +72,7 @@ def valid_structures(name):
     the full searches on the groups of order <= 4 (weak: <= 3), constant-
     lambda ditrusses and interchange near-rings from their enumerators on
     every group."""
-    G = builtin_group(name)
+    G = group(name)
     out = []
     if G.order <= 4:
         for o in enumerate_skew_trusses(G).structures:
@@ -80,7 +93,7 @@ def valid_law_cases(name):
     tables with its sigma, a split circ sigma-pi1 + tau-pi2 with its column
     map tau (right skew tau-distributive), and sigma-pi1 for every
     endomorphism sigma (right distributive)."""
-    G = builtin_group(name)
+    G = group(name)
     cases = []
     for sigma, circ, dot in valid_structures(name):
         for table in (circ, dot):
@@ -136,17 +149,30 @@ def test_law_reports_match_scalar_reference(case):
         assert library == reference
 
 
+@functools.lru_cache(maxsize=None)
+def valid_ditrusses(name):
+    """(sigma, circ, dot) with sigma(a) + a.b = a o b, from every valid
+    structure with a circ table (the dot derived where it has none)."""
+    G = group(name)
+    add, inv, n = G.table, G.inverse, G.order
+    out = []
+    for sigma, circ, dot in valid_structures(name):
+        if circ is not None:
+            if dot is None:
+                dot = tuple(
+                    tuple(add[inv[sigma[a]]][circ[a][b]] for b in range(n)) for a in range(n)
+                )
+            out.append((sigma, circ, dot))
+    return tuple(out)
+
+
 @st.composite
 def ditruss_inputs(draw):
     name = draw(st.sampled_from(GROUPS))
     G = builtin_group(name)
     n = G.order
     element = st.integers(0, n - 1)
-    pool = [s for s in valid_structures(name) if s[1] is not None]
-    sigma, circ, dot = draw(st.sampled_from(pool))
-    if dot is None:  # the dot with sigma(a) + a.b = a o b
-        add, inv = G.table, G.inverse
-        dot = [[add[inv[sigma[a]]][circ[a][b]] for b in range(n)] for a in range(n)]
+    sigma, circ, dot = draw(st.sampled_from(valid_ditrusses(name)))
     source = draw(st.sampled_from(["valid", "corrupt-circ", "corrupt-dot", "random-dot"]))
     if source == "corrupt-circ":
         circ = corrupt(drawn_below(draw), circ, n, draw(st.integers(1, 2)))
@@ -214,3 +240,46 @@ def test_order_two_exhaustive():
     for sigma, circ, dot in itertools.product(maps, tables, tables):
         obj = make_algebra(G, DITRUSS, sigma=sigma, circ=circ, dot=dot)
         assert _ditruss_compatibility(obj) == ref.ditruss_compatibility(obj)
+
+
+def edge_changes(n, tables, sigma):
+    """For i = n - 1, then i = 0: each table with only cell (i, i) changed,
+    then sigma with only sigma(i) changed.  Yields (end, tables, sigma)."""
+    for i in (n - 1, 0):
+        for k in range(len(tables)):
+            changed = [[list(row) for row in t] for t in tables]
+            changed[k][i][i] = (changed[k][i][i] + 1) % n
+            yield i, changed, sigma
+        s = list(sigma)
+        s[i] = (s[i] + 1) % n
+        yield i, [[list(row) for row in t] for t in tables], tuple(s)
+
+
+def spread(cases, k=8):
+    """k cases spread evenly over the list, first and last included."""
+    step = max(1, (len(cases) - 1) // (k - 1))
+    return list(cases[::step]) + [cases[-1]]
+
+
+@pytest.mark.parametrize("name", EDGE_GROUPS)
+def test_witness_edges(name):
+    """Valid structures with only the last cell of a table (or the last
+    entry of sigma) changed, so that the first violation sits late in the
+    scan, and with only the first one changed.  Every law and the ditruss
+    axiom report exactly what the scalar scan reports."""
+    G = group(name)
+    n = G.order
+    first = {"late": set(), "early": set()}
+    for table, sigma in spread(valid_law_cases(name)):
+        for i, (rows,), s in edge_changes(n, [table], sigma):
+            f = binop(G, rows)
+            for (law, _), (library, reference) in zip(LAWS, law_reports(f, s)):
+                assert library == reference, (law, rows, s)
+                if not library.holds:
+                    first["late" if i else "early"].add(library.witness[0])
+    for sigma, circ, dot in spread(valid_ditrusses(name)):
+        for _, (c, d), s in edge_changes(n, [circ, dot], sigma):
+            obj = make_algebra(G, DITRUSS, sigma=s, circ=c, dot=d)
+            assert _ditruss_compatibility(obj) == ref.ditruss_compatibility(obj)
+    if n > 1:  # both ends of the scan were reached
+        assert n - 1 in first["late"] and 0 in first["early"], first
