@@ -23,9 +23,10 @@ alone (with a o b read as sigma(a) + lam_a(b)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -41,14 +42,18 @@ from .groups import (
     is_idempotent_map,
     validate_group,
 )
-from .ops import BinOpTable, addition_maps, is_associative
+from .ops import BinOpTable, _pad, addition_maps, is_associative
 from .structures import (
     DITRUSS,
     INTERCHANGE,
     SKEW_TRUSS,
     WEAK_TRUSS,
     AlgebraObject,
+    algebra_from_key,
     make_algebra,
+    pullback_index,
+    split_key,
+    verified_key,
     verify,
 )
 
@@ -63,20 +68,40 @@ ORACLE_ORDER_CAP = 3
 
 @dataclass
 class ClassificationResult:
-    group_name: str
+    """Every structure of a kind on a group, kept as its structure_bytes()
+    key in sorted order, and one verified object per isomorphism class.
+    The objects of the full list are built when it is first asked for."""
+
+    group: FiniteGroup
     kind: str
-    total_count: int
-    iso_class_count: int
+    keys: list[bytes]
     representatives: list[AlgebraObject]
     search_stats: dict
-    structures: list[AlgebraObject] = field(default_factory=list)
+
+    @property
+    def total_count(self) -> int:
+        return len(self.keys)
+
+    @property
+    def iso_class_count(self) -> int:
+        return len(self.representatives)
+
+    @functools.cached_property
+    def structures(self) -> list[AlgebraObject]:
+        """Every structure as a verified object, in key order; the
+        representatives appear as themselves."""
+        reps = {o.structure_bytes(): o for o in self.representatives}
+        return [
+            reps[key] if key in reps else algebra_from_key(self.group, self.kind, key)
+            for key in self.keys
+        ]
 
     def to_json(self, up_to_iso: bool = False) -> dict:
         from .structures import structure_to_json
 
         stats = {k: v for k, v in self.search_stats.items() if k != "seconds"}
         out = {
-            "group": self.group_name,
+            "group": self.group.name,
             "kind": self.kind,
             "total_count": self.total_count,
             "iso_class_count": self.iso_class_count,
@@ -189,18 +214,18 @@ def enumerate_skew_trusses(
     endos = enumerate_endomorphisms(G)
     candidates = _budget_or_raise(SKEW_TRUSS, G, n ** n, len(endos) ** n, cap, budget)
     start = time.perf_counter()
-    structures = []
-    for sigma, _digits, _dot, circ_rows in _joint_search(
-        G, endos, [range(n)] * n, condition_i=True
-    ):
-        circ = BinOpTable(G, circ_rows)
-        structures.append(verify(make_algebra(G, SKEW_TRUSS, sigma=sigma, circ=circ)))
+    keys = [
+        verified_key(G, SKEW_TRUSS, sigma, circ=circ_rows)
+        for sigma, _digits, _dot, circ_rows in _joint_search(
+            G, endos, [range(n)] * n, condition_i=True
+        )
+    ]
     stats = {
         "candidates": candidates,
         "seconds": time.perf_counter() - start,
-        "sigma_fixes_zero_count": sum(1 for o in structures if o.sigma[0] == 0),
+        "sigma_fixes_zero_count": sum(1 for key in keys if key[0] == 0),
     }
-    return _classify(G, SKEW_TRUSS, structures, stats)
+    return _classify(G, SKEW_TRUSS, keys, stats)
 
 
 def enumerate_weak_trusses(
@@ -215,21 +240,21 @@ def enumerate_weak_trusses(
     endos = enumerate_endomorphisms(G)
     candidates = _budget_or_raise(WEAK_TRUSS, G, n ** n, len(endos) ** n, cap, budget)
     start = time.perf_counter()
-    structures = []
-    for sigma, _digits, dot_rows, _circ in _joint_search(
-        G, endos, [range(n)] * n, condition_i=False
-    ):
-        dot = BinOpTable(G, dot_rows)
-        structures.append(verify(make_algebra(G, WEAK_TRUSS, sigma=sigma, dot=dot)))
+    keys = [
+        verified_key(G, WEAK_TRUSS, sigma, dot=dot_rows)
+        for sigma, _digits, dot_rows, _circ in _joint_search(
+            G, endos, [range(n)] * n, condition_i=False
+        )
+    ]
     stats = {"candidates": candidates, "seconds": time.perf_counter() - start}
-    return _classify(G, WEAK_TRUSS, structures, stats)
+    return _classify(G, WEAK_TRUSS, keys, stats)
 
 
-def _sum_of_projections(G: FiniteGroup, left, right) -> BinOpTable:
-    """The table a o b = left(a) + right(b): row a is the images of right
-    mapped through the addition row left(a)."""
+def _sum_of_projections(G: FiniteGroup, left, right) -> list[bytes]:
+    """The rows of the table a o b = left(a) + right(b): row a is the
+    images of right mapped through the addition row left(a)."""
     plus, images = addition_maps(G).left, bytes(right)
-    return BinOpTable(G, tuple([tuple(images.translate(plus[x])) for x in left]))
+    return [images.translate(plus[x]) for x in left]
 
 
 def enumerate_interchange(
@@ -242,7 +267,7 @@ def enumerate_interchange(
     endos = enumerate_endomorphisms(G)
     start = time.perf_counter()
     images, centralizers = image_commuting_masks(G, endos)
-    structures = []
+    keys = []
     for eps, centralizer in zip(endos, centralizers):
         for eta, image in zip(endos, images):
             if image & ~centralizer:
@@ -254,10 +279,11 @@ def enumerate_interchange(
             ):
                 continue
             circ = _sum_of_projections(G, eps.images, eta.images)
-            obj = verify(make_algebra(G, INTERCHANGE, circ=circ))
-            if associative_only and not is_associative(obj.circ).holds:
+            keys.append(verified_key(G, INTERCHANGE, circ=circ))
+            if associative_only and not is_associative(
+                BinOpTable(G, tuple(map(tuple, circ)))
+            ).holds:
                 raise TrussLabError("idempotent commuting pair lost associativity")
-            structures.append(obj)
     stats = {
         "candidates": len(endos) ** 2,
         "seconds": time.perf_counter() - start,
@@ -265,12 +291,12 @@ def enumerate_interchange(
     if G.order <= ORACLE_ORDER_CAP:
         oracle = raw_interchange_search(G, associative_only=associative_only)
         stats["oracle_count"] = oracle.count
-        if oracle.count != len(structures):
+        if oracle.count != len(keys):
             raise TrussLabError(
                 f"interchange oracle disagrees on {G.name}: "
-                f"{oracle.count} != {len(structures)}"
+                f"{oracle.count} != {len(keys)}"
             )
-    return _classify(G, INTERCHANGE, structures, stats)
+    return _classify(G, INTERCHANGE, keys, stats)
 
 
 def enumerate_constant_lambda_ditrusses(
@@ -283,7 +309,7 @@ def enumerate_constant_lambda_ditrusses(
     endos = [e for e in enumerate_endomorphisms(G) if is_idempotent_map(e)]
     start = time.perf_counter()
     images, centralizers = image_commuting_masks(G, endos)
-    structures = []
+    keys = []
     for sig, centralizer in zip(endos, centralizers):
         for tau, image in zip(endos, images):
             if not compose_commute(sig, tau):
@@ -291,50 +317,41 @@ def enumerate_constant_lambda_ditrusses(
             if image_commuting_only and image & ~centralizer:
                 continue
             circ = _sum_of_projections(G, sig.images, tau.images)
-            dot = BinOpTable(G, (tau.images,) * G.order)
-            structures.append(
-                verify(make_algebra(G, DITRUSS, sigma=sig.images, circ=circ, dot=dot))
-            )
+            dot = (tau.images,) * G.order
+            keys.append(verified_key(G, DITRUSS, sig.images, circ=circ, dot=dot))
     stats = {"candidates": len(endos) ** 2, "seconds": time.perf_counter() - start}
-    return _classify(G, DITRUSS, structures, stats)
+    return _classify(G, DITRUSS, keys, stats)
 
 
-def _classify(G, kind, structures, stats) -> ClassificationResult:
-    """Sort the structures by structure_key and mark orbits.
+def _classify(G, kind, keys, stats) -> ClassificationResult:
+    """Sort the structure_bytes() keys of verified structures and mark
+    orbits.
 
-    The enumerated set is closed under Aut(G), so the first structure in
-    sorted order that is not yet marked is the least of its orbit: it is
-    the class representative as it stands.  The structures at its image
-    keys are then marked, so each class costs one walk over Aut(G).  An
-    image key missing from the set would make that first structure a false
-    minimum, so it raises."""
-    keyed = sorted(((o.structure_key(), o) for o in structures), key=itemgetter(0))
-    position = {key: i for i, (key, _) in enumerate(keyed)}
-    marked = bytearray(len(keyed))
-    sigma_parts = int(kind != INTERCHANGE)
+    The enumerated set is closed under Aut(G), so the first key in sorted
+    order that is not yet marked is the least of its orbit: its structure
+    is the class representative as it stands.  Its image keys are then
+    marked, so each class costs one walk over Aut(G).  An image key missing
+    from the set would make that first key a false minimum, so it raises.
+    Objects are built for the representatives alone."""
+    keys = sorted(keys)
+    position = {key: i for i, key in enumerate(keys)}
+    marked = bytearray(len(keys))
+    pullbacks = _pullbacks(G, kind)
     reps = []
-    for i, (key, obj) in enumerate(keyed):
+    for i, key in enumerate(keys):
         if marked[i]:
             continue
-        reps.append(obj)
-        for _h, image in _orbit_images(G, key, sigma_parts):
-            j = position.get(image)
+        reps.append(algebra_from_key(G, kind, key))
+        for _h, pull, push in pullbacks:
+            j = position.get(bytes(pull(key)).translate(push))
             if j is None:
                 raise TrussLabError(
                     f"{kind} classification on {G.name} is not closed under "
-                    f"automorphisms: an image of {key} was not enumerated"
+                    f"automorphisms: an image of {split_key(kind, G.order, key)} "
+                    f"was not enumerated"
                 )
             marked[j] = 1
-    structures[:] = [obj for _, obj in keyed]
-    return ClassificationResult(
-        group_name=G.name,
-        kind=kind,
-        total_count=len(structures),
-        iso_class_count=len(reps),
-        representatives=reps,
-        search_stats=stats,
-        structures=structures,
-    )
+    return ClassificationResult(G, kind, keys, reps, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +360,14 @@ def _classify(G, kind, structures, stats) -> ClassificationResult:
 _PULLBACKS: dict[tuple, tuple] = {}
 
 
-def _pullbacks(G: FiniteGroup) -> tuple:
-    """(h, sigma gather, table gather) for every automorphism h of G but the
-    identity.  The image of a map f under h is h . f . h^-1, so the image of
-    sigma is h applied to sigma gathered at h^-1(x), and the image of a
-    row-major table is h applied to the table gathered at
-    h^-1(x) * n + h^-1(y).  A non-identity automorphism needs n >= 3, so
-    every itemgetter here takes several indices and returns a tuple."""
-    cached = _PULLBACKS.get(G.table)
+def _pullbacks(G: FiniteGroup, kind: str) -> tuple:
+    """(h, gather, translation) for every automorphism h of G but the
+    identity, acting on the structure_bytes() keys of kind: the image of a
+    key under h is bytes(gather(key)).translate(translation).  The image
+    of a map f is h . f . h^-1: the key is pulled back along h, and every
+    entry then goes through h.  A non-identity automorphism needs n >= 3,
+    so every itemgetter here takes several indices and returns a tuple."""
+    cached = _PULLBACKS.get((G.table, kind))
     if cached is None:
         n = G.order
         identity = tuple(range(n))
@@ -362,21 +379,9 @@ def _pullbacks(G: FiniteGroup) -> tuple:
             hinv = [0] * n
             for a, v in enumerate(h):
                 hinv[v] = a
-            flat = [hinv[x] * n + hinv[y] for x in range(n) for y in range(n)]
-            entries.append((h, itemgetter(*hinv), itemgetter(*flat)))
-        cached = _PULLBACKS[G.table] = tuple(entries)
+            entries.append((h, itemgetter(*pullback_index(kind, hinv)), _pad(bytes(h))))
+        cached = _PULLBACKS[(G.table, kind)] = tuple(entries)
     return cached
-
-
-def _orbit_images(G: FiniteGroup, key: tuple, sigma_parts: int):
-    """(h, image of key under h) for every automorphism h of G but the
-    identity; the first sigma_parts parts of key are maps, the rest tables."""
-    for h, pull_sigma, pull_table in _pullbacks(G):
-        push = h.__getitem__
-        yield h, tuple(
-            tuple(map(push, (pull_sigma if i < sigma_parts else pull_table)(part)))
-            for i, part in enumerate(key)
-        )
 
 
 def _orbit_min(obj: AlgebraObject) -> tuple[tuple, tuple[int, ...]]:
@@ -389,12 +394,13 @@ def _orbit_min(obj: AlgebraObject) -> tuple[tuple, tuple[int, ...]]:
     never rebuilt as objects."""
     if not obj.verified:
         verify(obj)
-    key = obj.structure_key()
+    key = obj.structure_bytes()
     best, best_h = key, tuple(range(obj.order))
-    for h, image in _orbit_images(obj.group, key, 0 if obj.sigma is None else 1):
+    for h, pull, push in _pullbacks(obj.group, obj.kind):
+        image = bytes(pull(key)).translate(push)
         if image < best:
             best, best_h = image, h
-    return best, best_h
+    return split_key(obj.kind, obj.order, best), best_h
 
 
 def relabel_structure(obj: AlgebraObject, perm) -> AlgebraObject:

@@ -83,8 +83,9 @@ def check_map(G: FiniteGroup, m: MapLike, label: str = "unary map") -> tuple[int
     """The images of m, which must be an EndoMap or a list (or tuple) of
     n carrier labels.  Nothing is coerced."""
     images = m.images if isinstance(m, EndoMap) else m
-    if not isinstance(images, (list, tuple)) or len(images) != G.order or not all(
-        is_element(x, G.order) for x in images
+    n = G.order
+    if not isinstance(images, (list, tuple)) or len(images) != n or not all(
+        is_element(x, n) for x in images
     ):
         raise InputError(
             f"{label} {images!r} is not a list of {G.order} integers in 0..{G.order - 1}"
@@ -233,11 +234,15 @@ def holds(law: str) -> LawReport:
     return LawReport(law, True)
 
 
-def _left_weak(f: BinOpTable, s: Sequence[int], law: str) -> LawReport:
+def rows_of(f: BinOpTable) -> list[bytes]:
+    """The rows of a table as bytes, the form the law engine reads."""
+    return list(map(bytes, f.table))
+
+
+def _left_weak(G: FiniteGroup, rows: Sequence[bytes], s: Sequence[int], law: str) -> LawReport:
     """(s(a) + a*b)*c = a*(b*c): per a, the rows t[s(a) + a*b] joined,
     against every b*c mapped through row a."""
-    plus = addition_maps(f.carrier).left
-    rows = list(map(bytes, f.table))
+    plus = addition_maps(G).left
     flat = b"".join(rows)
     for a, (r, sa) in enumerate(zip(rows, s)):
         lhs = b"".join([rows[x] for x in r.translate(plus[sa])])
@@ -258,21 +263,21 @@ def _skew_blocks(G: FiniteGroup, lines: Iterable[bytes], s: Sequence[int]) -> It
         )
 
 
-def _left_skew(f: BinOpTable, s: Sequence[int], law: str) -> LawReport:
+def _left_skew(G: FiniteGroup, rows: Sequence[bytes], s: Sequence[int], law: str) -> LawReport:
     """a*(b+c) = (a*b) - s(a) + (a*c), per a, on row a."""
-    for a, (lhs, rhs) in enumerate(_skew_blocks(f.carrier, map(bytes, f.table), s)):
+    for a, (lhs, rhs) in enumerate(_skew_blocks(G, rows, s)):
         if lhs != rhs:
-            return law_violation(law, (a,), lhs, rhs, f.order)
+            return law_violation(law, (a,), lhs, rhs, len(rows))
     return holds(law)
 
 
-def _right_skew(f: BinOpTable, s: Sequence[int], law: str) -> LawReport:
+def _right_skew(G: FiniteGroup, rows: Sequence[bytes], s: Sequence[int], law: str) -> LawReport:
     """(a+b)*c = (a*c) - s(c) + (b*c): for each c, the law of _left_skew
     on column c, over (a, b).  The witness is the least (a, b, c) among the
     first violations of the failing columns."""
-    n = f.order
+    n = len(rows)
     first = None  # (offset of (a, b), c, lhs, rhs) of the least violation so far
-    for c, (lhs, rhs) in enumerate(_skew_blocks(f.carrier, map(bytes, zip(*f.table)), s)):
+    for c, (lhs, rhs) in enumerate(_skew_blocks(G, map(bytes, zip(*rows)), s)):
         end = n * n if first is None else first[0]  # ties keep the smaller c
         if lhs[:end] != rhs[:end]:
             first = (_first_offset(lhs[:end], rhs[:end]), c, lhs, rhs)
@@ -282,42 +287,11 @@ def _right_skew(f: BinOpTable, s: Sequence[int], law: str) -> LawReport:
     return LawReport(law, False, (i // n, i % n, c), lhs[i], rhs[i])
 
 
-def is_associative(f: BinOpTable) -> LawReport:
-    """(a*b)*c = a*(b*c)."""
-    return _left_weak(f, (0,) * f.order, "associativity")
-
-
-def is_left_distributive(f: BinOpTable) -> LawReport:
-    """a*(b+c) = a*b + a*c."""
-    return _left_skew(f, (0,) * f.order, "left-distributivity")
-
-
-def is_right_distributive(f: BinOpTable) -> LawReport:
-    """(a+b)*c = a*c + b*c."""
-    return _right_skew(f, (0,) * f.order, "right-distributivity")
-
-
-def is_left_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport:
-    """a*(b+c) = (a*b) - sigma(a) + (a*c)."""
-    return _left_skew(f, check_map(f.carrier, sigma), "left-skew-sigma-distributivity")
-
-
-def is_right_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport:
-    """(a+b)*c = (a*c) - sigma(c) + (b*c)."""
-    return _right_skew(f, check_map(f.carrier, sigma), "right-skew-sigma-distributivity")
-
-
-def is_left_weak_sigma_associative(f: BinOpTable, sigma: MapLike) -> LawReport:
-    """(sigma(a) + a*b)*c = a*(b*c)."""
-    return _left_weak(f, check_map(f.carrier, sigma), "left-weak-sigma-associativity")
-
-
-def satisfies_interchange(f: BinOpTable) -> LawReport:
+def _interchange(G: FiniteGroup, rows: Sequence[bytes]) -> LawReport:
     """(w+x)*(y+z) = (w*y) + (x*z), per w over (x, y, z).  The left block
     of x over (y, z) depends on w + x alone, and the right one is row x
     shifted by each w*y; both come from strings built once per structure."""
-    k = addition_maps(f.carrier)
-    rows = list(map(bytes, f.table))
+    k = addition_maps(G)
     by_sum = [k.flat.translate(_pad(r)) for r in rows]  # s -> t[s][y + z]
     shifted = [[r.translate(p) for p in k.left] for r in rows]  # x -> h -> h + t[x][z]
     for w, r in enumerate(rows):
@@ -326,6 +300,44 @@ def satisfies_interchange(f: BinOpTable) -> LawReport:
         if lhs != rhs:
             return law_violation("interchange", (w,), lhs, rhs, len(rows))
     return holds("interchange")
+
+
+def is_associative(f: BinOpTable) -> LawReport:
+    """(a*b)*c = a*(b*c)."""
+    return _left_weak(f.carrier, rows_of(f), (0,) * f.order, "associativity")
+
+
+def is_left_distributive(f: BinOpTable) -> LawReport:
+    """a*(b+c) = a*b + a*c."""
+    return _left_skew(f.carrier, rows_of(f), (0,) * f.order, "left-distributivity")
+
+
+def is_right_distributive(f: BinOpTable) -> LawReport:
+    """(a+b)*c = a*c + b*c."""
+    return _right_skew(f.carrier, rows_of(f), (0,) * f.order, "right-distributivity")
+
+
+def is_left_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport:
+    """a*(b+c) = (a*b) - sigma(a) + (a*c)."""
+    G = f.carrier
+    return _left_skew(G, rows_of(f), check_map(G, sigma), "left-skew-sigma-distributivity")
+
+
+def is_right_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport:
+    """(a+b)*c = (a*c) - sigma(c) + (b*c)."""
+    G = f.carrier
+    return _right_skew(G, rows_of(f), check_map(G, sigma), "right-skew-sigma-distributivity")
+
+
+def is_left_weak_sigma_associative(f: BinOpTable, sigma: MapLike) -> LawReport:
+    """(sigma(a) + a*b)*c = a*(b*c)."""
+    G = f.carrier
+    return _left_weak(G, rows_of(f), check_map(G, sigma), "left-weak-sigma-associativity")
+
+
+def satisfies_interchange(f: BinOpTable) -> LawReport:
+    """(w+x)*(y+z) = (w*y) + (x*z)."""
+    return _interchange(f.carrier, rows_of(f))
 
 
 # ---------------------------------------------------------------------------

@@ -43,16 +43,18 @@ from .groups import (
 from .ops import (
     BinOpTable,
     LawReport,
+    _interchange,
+    _left_skew,
+    _left_weak,
     addition_maps,
     binop,
     check_map,
     holds,
     is_associative,
     is_left_distributive,
-    is_left_skew_sigma_distributive,
     is_left_weak_sigma_associative,
     law_violation,
-    satisfies_interchange,
+    rows_of,
 )
 
 SKEW_TRUSS = "skew-truss"
@@ -116,14 +118,61 @@ class AlgebraObject:
     def structure_key(self) -> tuple:
         """Serialization used for structural identity and canonical forms:
         sigma images, then circ row-major, then dot row-major."""
-        parts: list = []
-        if self.sigma is not None:
-            parts.append(self.sigma)
-        if self.circ is not None:
-            parts.append(tuple(x for row in self.circ.table for x in row))
-        if self.dot is not None:
-            parts.append(tuple(x for row in self.dot.table for x in row))
-        return tuple(parts)
+        return split_key(self.kind, self.order, self.structure_bytes())
+
+    def structure_bytes(self) -> bytes:
+        """structure_key() as one string, one byte per entry.  All keys of
+        one kind on one group have the same layout, so they sort as their
+        structure_key() tuples do."""
+        parts = [] if self.sigma is None else [bytes(self.sigma)]
+        for op in (self.circ, self.dot):
+            if op is not None:
+                parts += map(bytes, op.table)
+        return b"".join(parts)
+
+
+def _key_components(kind: str, n: int, key: bytes) -> list:
+    """[sigma, circ, dot] sliced from a structure_bytes() key, None where
+    the kind has no such component."""
+    out, start = [], 0
+    for present, size in zip(_COMPONENTS[kind], (n, n * n, n * n)):
+        out.append(key[start:start + size] if present else None)
+        start += size if present else 0
+    return out
+
+
+def split_key(kind: str, n: int, key: bytes) -> tuple:
+    """The structure_key() tuple of a structure_bytes() key."""
+    return tuple(tuple(part) for part in _key_components(kind, n, key) if part is not None)
+
+
+def pullback_index(kind: str, hinv: Sequence[int]) -> list[int]:
+    """The positions at which a structure_bytes() key of kind is read to
+    pull it back along a carrier bijection with inverse hinv: sigma at
+    hinv[x], each row-major table at hinv[x] * n + hinv[y]."""
+    n = len(hinv)
+    table = [hinv[x] * n + hinv[y] for x in range(n) for y in range(n)]
+    has_sigma, *tables = _COMPONENTS[kind]
+    index = list(hinv) if has_sigma else []
+    for _ in range(sum(tables)):
+        start = len(index)
+        index += [start + i for i in table]
+    return index
+
+
+def algebra_from_key(group: FiniteGroup, kind: str, key: bytes) -> AlgebraObject:
+    """The object of a key that verified_key returned, marked verified."""
+    n = group.order
+    sigma, circ, dot = _key_components(kind, n, key)
+
+    def table(flat):
+        if flat is None:
+            return None
+        return BinOpTable(group, tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)))
+
+    return AlgebraObject(
+        group, kind, None if sigma is None else tuple(sigma), table(circ), table(dot), True
+    )
 
 
 @dataclass(frozen=True)
@@ -196,52 +245,75 @@ def make_interchange(group, circ) -> AlgebraObject:
     return make_algebra(group, INTERCHANGE, circ=circ)
 
 
-def _ditruss_compatibility(obj: AlgebraObject) -> LawReport:
+def _ditruss_compatibility(G: FiniteGroup, sigma, circ, dot) -> LawReport:
     """sigma(a) + a.b = a o b for all a, b: per a, row a of dot mapped
     through the addition row sigma(a), against row a of circ."""
-    plus = addition_maps(obj.group).left
-    for a, (sa, da, ca) in enumerate(zip(obj.sigma, obj.dot.table, obj.circ.table)):
-        lhs, rhs = bytes(da).translate(plus[sa]), bytes(ca)
-        if lhs != rhs:
-            return law_violation("sigma-plus-dot-equals-circ", (a,), lhs, rhs, obj.group.order)
+    plus = addition_maps(G).left
+    for a, (sa, da, ca) in enumerate(zip(sigma, dot, circ)):
+        lhs = da.translate(plus[sa])
+        if lhs != ca:
+            return law_violation("sigma-plus-dot-equals-circ", (a,), lhs, ca, G.order)
     return holds("sigma-plus-dot-equals-circ")
+
+
+def _law_reports(G: FiniteGroup, kind: str, sigma, circ, dot) -> tuple[LawReport, ...]:
+    """The defining axioms of kind, on a validated sigma and the rows of
+    circ and dot as bytes."""
+    zeros = (0,) * G.order
+    if kind == SKEW_TRUSS:
+        return (
+            _left_weak(G, circ, zeros, "associativity"),
+            _left_skew(G, circ, sigma, "left-skew-sigma-distributivity"),
+        )
+    if kind == DITRUSS:
+        return (_ditruss_compatibility(G, sigma, circ, dot),)
+    if kind == WEAK_TRUSS:
+        return (
+            _left_weak(G, dot, sigma, "left-weak-sigma-associativity"),
+            _left_skew(G, dot, zeros, "left-distributivity"),
+        )
+    if kind == INTERCHANGE:
+        return (_interchange(G, circ),)
+    raise InputError(f"unknown kind {kind}")  # pragma: no cover - construction forbids it
+
+
+def _raise_on_failure(kind: str, reports: tuple[LawReport, ...]) -> None:
+    for bad in reports:
+        if not bad.holds:
+            raise VerificationFailed(
+                f"{kind} axiom {bad.law} fails at {bad.witness}: {bad.lhs} != {bad.rhs}",
+                report=bad,
+            )
 
 
 def check(obj: AlgebraObject) -> CheckResult:
     """Run exactly the defining axioms for obj.kind; marks the object
-    verified iff every axiom passes."""
-    kind = obj.kind
-    if kind == SKEW_TRUSS:
-        reports = (
-            is_associative(obj.circ),
-            is_left_skew_sigma_distributive(obj.circ, obj.sigma),
-        )
-    elif kind == DITRUSS:
-        reports = (_ditruss_compatibility(obj),)
-    elif kind == WEAK_TRUSS:
-        reports = (
-            is_left_weak_sigma_associative(obj.dot, obj.sigma),
-            is_left_distributive(obj.dot),
-        )
-    elif kind == INTERCHANGE:
-        reports = (satisfies_interchange(obj.circ),)
-    else:  # pragma: no cover - construction forbids it
-        raise InputError(f"unknown kind {kind}")
-    result = CheckResult(kind=kind, reports=reports)
+    verified iff every axiom passes.  make_algebra has validated sigma."""
+    circ = None if obj.circ is None else rows_of(obj.circ)
+    dot = None if obj.dot is None else rows_of(obj.dot)
+    result = CheckResult(obj.kind, _law_reports(obj.group, obj.kind, obj.sigma, circ, dot))
     obj.verified = result.ok
     return result
 
 
 def verify(obj: AlgebraObject) -> AlgebraObject:
     """check() that raises on the first failing axiom."""
-    result = check(obj)
-    if not result.ok:
-        bad = next(r for r in result.reports if not r.holds)
-        raise VerificationFailed(
-            f"{obj.kind} axiom {bad.law} fails at {bad.witness}: {bad.lhs} != {bad.rhs}",
-            report=bad,
-        )
+    _raise_on_failure(obj.kind, check(obj).reports)
     return obj
+
+
+def verified_key(group: FiniteGroup, kind: str, sigma=None, circ=None, dot=None) -> bytes:
+    """The structure_bytes() key of the structure with these components,
+    once the axioms check() runs hold on it; raises VerificationFailed as
+    verify does otherwise.  For tables the library built itself: sigma
+    passes check_map, the rows (sequences of carrier labels) are taken as
+    they are, and no object is built."""
+    s = None if sigma is None else check_map(group, sigma, "sigma")
+    c = None if circ is None else list(map(bytes, circ))
+    d = None if dot is None else list(map(bytes, dot))
+    _raise_on_failure(kind, _law_reports(group, kind, s, c, d))
+    parts = [] if s is None else [bytes(s)]
+    return b"".join(parts + (c or []) + (d or []))
 
 
 def require_verified(obj: AlgebraObject, kinds: tuple[str, ...] | None = None) -> None:

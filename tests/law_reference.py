@@ -3,8 +3,9 @@ ditruss compatibility axiom of trusslab.structures.
 
 Each law is one plain loop over every tuple in lexicographic order, and
 returns at the first violation.  The library checks the same laws by
-comparing whole rows (see the trusslab.ops docstring); tests/test_law_engine.py
-requires identical LawReports from both.
+comparing bytes blocks, one per value of a law's first variable (see the
+trusslab.ops docstring); tests/test_law_engine.py requires identical
+LawReports from both.
 """
 
 from trusslab.groups import MapLike

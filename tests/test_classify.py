@@ -1,8 +1,8 @@
 """Classification by orbit marking, against the per-structure reference.
 
-The library sorts the enumerated structures by structure_key once, takes
-the first unmarked one as its class representative, and marks that
-representative's automorphic images.  The reference here is the plain
+The library sorts the structure_bytes() keys of the enumerated structures
+once, takes the first unmarked one as its class representative, and marks
+that representative's automorphic images.  The reference here is the plain
 loop it replaced: the orbit minimum of every structure, and a relabel of
 the first structure met in each new class.  Both must give the same
 totals, class counts, representatives (in order) and structure order.
@@ -19,7 +19,7 @@ from trusslab import (
     enumerate_skew_trusses,
     enumerate_weak_trusses,
 )
-from trusslab.enumeration import _classify, _orbit_min, relabel_structure
+from trusslab.enumeration import _classify, _orbit_min, canonical_key, relabel_structure
 from trusslab.errors import TrussLabError
 from trusslab.ops import binop
 
@@ -73,12 +73,15 @@ def test_classification_matches_reference(group, kind, kwargs):
     expected = reference_classify(result.structures)
     assert summary(result) == expected
     # the classification does not depend on the order it is handed
-    shuffled = list(result.structures)
+    shuffled = [o.structure_bytes() for o in result.structures]
     random.Random(group).shuffle(shuffled)
     assert summary(_classify(G, result.kind, shuffled, {})) == expected
     # a representative is the enumerated object itself, not a rebuilt copy
     ids = {id(o) for o in result.structures}
     assert all(id(rep) in ids for rep in result.representatives)
+    # and it is its own canonical form
+    for rep in result.representatives:
+        assert canonical_key(rep) == (result.kind,) + rep.structure_key()
 
 
 def test_list_not_closed_under_automorphisms_raises():
@@ -89,7 +92,7 @@ def test_list_not_closed_under_automorphisms_raises():
         by_class.setdefault(_orbit_min(obj)[0], []).append(obj)
     least, *rest = next(members for members in by_class.values() if len(members) > 1)
     assert least.structure_key() < rest[0].structure_key()
-    kept = [o for o in result.structures if o is not rest[0]]
+    kept = [o.structure_bytes() for o in result.structures if o is not rest[0]]
     with pytest.raises(TrussLabError, match="not closed under automorphisms"):
         _classify(G, result.kind, kept, {})
 

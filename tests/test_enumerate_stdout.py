@@ -26,6 +26,9 @@ CASES = [
     (("V4", "ditruss", True, None), "2010595355bd2a8ec056dc2f77b2b3e3288a336fea01fbc7e7608e3c4bab1b31"),
     (("V4", "interchange", True, None), "22d811cd02b3bd181a796f05d99291797fd6a3ba4082a812f4b8de068490fb18"),
     (("Z6", "skew-truss", True, 6), "87e270cd472b17744b8283bc431253d8648a2def4d58a3c76998baa90623865c"),
+    (("Z5", "skew-truss", False, None), "972cf884cff312c6bf4d89a4bc8ecf47dbec1900a3632b7e5922b2bcb308ee03"),
+    (("D4", "ditruss", True, None), "a84e6a3a4f175459cf4a438c3b1539309c6237e076df8fa6abc2a54d66f84cb0"),
+    (("Z4", "weak-truss", True, None), "bc5422b5fc25d35cead773ad5c623cf7d66faa4b48254ddc741c1c77ef2f6154"),
 ]
 
 

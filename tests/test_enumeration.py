@@ -204,6 +204,41 @@ def test_every_emitted_object_verifies():
             assert result.total_count == len(result.structures)
 
 
+@pytest.mark.parametrize("name", ["V4", "Z4"])
+def test_every_emitted_structure_checked_once(name, monkeypatch):
+    # one law check and one check_map of sigma per structure, and none for
+    # the objects built afterwards (representatives and the full list)
+    import trusslab.ops
+    import trusslab.structures
+
+    calls = {"laws": 0, "check_map": 0}
+
+    def counting(counter, fn):
+        def wrapped(*args, **kwargs):
+            calls[counter] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        trusslab.structures, "_law_reports", counting("laws", trusslab.structures._law_reports)
+    )
+    check_map = counting("check_map", trusslab.ops.check_map)
+    for module in (trusslab.ops, trusslab.structures):
+        monkeypatch.setattr(module, "check_map", check_map)
+    G = builtin_group(name)
+    for enumerate_kind, has_sigma in (
+        (enumerate_skew_trusses, True),
+        (enumerate_weak_trusses, True),
+        (enumerate_constant_lambda_ditrusses, True),
+        (enumerate_interchange, False),
+    ):
+        calls.update(laws=0, check_map=0)
+        result = enumerate_kind(G)
+        assert all(o.verified for o in result.structures)
+        assert calls == {"laws": result.total_count, "check_map": result.total_count * has_sigma}
+
+
 def test_skew_consequences_on_everything_emitted(Z4):
     for obj in enumerate_skew_trusses(Z4).structures:
         report = skew_truss_consequence_report(obj)

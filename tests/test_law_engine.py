@@ -30,7 +30,7 @@ from trusslab import (
     ops,
 )
 from trusslab.groups import validate_group
-from trusslab.structures import DITRUSS, _ditruss_compatibility, make_algebra
+from trusslab.structures import DITRUSS, check, make_algebra
 
 GROUPS = ["Z1", "Z2", "Z3", "V4", "S3", "D4", "Q8", "Z8"]
 # the witness-edge cases: order 1, two groups of order 8, and Z13
@@ -186,7 +186,7 @@ def ditruss_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(ditruss_inputs())
 def test_ditruss_compatibility_matches_scalar_reference(obj):
-    assert _ditruss_compatibility(obj) == ref.ditruss_compatibility(obj)
+    assert check(obj).reports[0] == ref.ditruss_compatibility(obj)
 
 
 def test_reports_cover_holds_early_and_late_failures():
@@ -220,8 +220,8 @@ def test_order_one_every_law_holds():
         assert library == reference
         assert library.holds and library.witness is None
     obj = make_algebra(G, DITRUSS, sigma=(0,), circ=[[0]], dot=[[0]])
-    assert _ditruss_compatibility(obj) == ref.ditruss_compatibility(obj)
-    assert _ditruss_compatibility(obj).holds
+    assert check(obj).reports[0] == ref.ditruss_compatibility(obj)
+    assert check(obj).reports[0].holds
 
 
 def test_order_two_exhaustive():
@@ -239,7 +239,7 @@ def test_order_two_exhaustive():
     assert failures
     for sigma, circ, dot in itertools.product(maps, tables, tables):
         obj = make_algebra(G, DITRUSS, sigma=sigma, circ=circ, dot=dot)
-        assert _ditruss_compatibility(obj) == ref.ditruss_compatibility(obj)
+        assert check(obj).reports[0] == ref.ditruss_compatibility(obj)
 
 
 def edge_changes(n, tables, sigma):
@@ -280,6 +280,6 @@ def test_witness_edges(name):
     for sigma, circ, dot in spread(valid_ditrusses(name)):
         for _, (c, d), s in edge_changes(n, [circ, dot], sigma):
             obj = make_algebra(G, DITRUSS, sigma=s, circ=c, dot=d)
-            assert _ditruss_compatibility(obj) == ref.ditruss_compatibility(obj)
+            assert check(obj).reports[0] == ref.ditruss_compatibility(obj)
     if n > 1:  # both ends of the scan were reached
         assert n - 1 in first["late"] and 0 in first["early"], first

@@ -82,6 +82,29 @@ def test_weak_truss_axioms(Z4):
         assert check(make_weak_truss(Z4, pi2, sigma)).ok
 
 
+def test_sigma_validated_once_per_object(Z4, monkeypatch):
+    # make_algebra passes sigma through check_map; check() does not repeat it
+    import trusslab.ops
+    import trusslab.structures
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return check_map(*args, **kwargs)
+
+    check_map = trusslab.ops.check_map
+    for module in (trusslab.ops, trusslab.structures):
+        monkeypatch.setattr(module, "check_map", counting)
+    _, pi2 = make_projection_ops(Z4)
+    for make in (make_skew_truss, make_weak_truss):
+        calls.clear()
+        obj = make(Z4, pi2, (0, 1, 2, 3))
+        check(obj)
+        check(obj)
+        assert calls == [(0, 1, 2, 3)]
+
+
 def test_interchange_check(Z2, S3):
     add_op = lambda G: make_algebra(G, "interchange-nr", circ=G.table)
     assert check(add_op(Z2)).ok
