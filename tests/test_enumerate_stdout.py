@@ -5,6 +5,7 @@ representatives and (without --up-to-iso) every structure in order.  A
 change to the search, the law engine or canonical forms that alters any
 byte of the output fails here.  To inspect a mismatch, run the same
 command and diff its stdout against a checkout where the test passes.
+The `--oracle` cases pin the raw-axiom comparison the same way.
 """
 
 import hashlib
@@ -43,5 +44,23 @@ def test_enumerate_stdout_digest(capsys, args, digest):
     if cap is not None:
         argv += ["--cap", str(cap)]
     assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (group, kind), digest of `enumerate --oracle`
+ORACLE_CASES = [
+    (("Z3", "skew-truss"), "aa8d678df3d7ce57610598d71e61faa27ca88842ba260c33cf1a4bd53679bd02"),
+    (("Z3", "weak-truss"), "3e337f0a695bd8fe809e2fec2224f5e4c302622949f8785b60ad2adc16bbc2af"),
+    (("Z3", "ditruss"), "ebd7db5cc9a594b629b97501f0fe122ed853418ec244d5af0faa2ce0c39ff8f5"),
+    (("Z3", "interchange"), "2cf0623bc2ef7224daaa3b0c9df17f824e7df00ec2b8243651865761f91e3466"),
+    (("Z2", "interchange"), "68c9a21dbffccff1f3f30f31fdf2532d68353ac325a27f10c9f143a9b2ba34ce"),
+]
+
+
+@pytest.mark.parametrize("args, digest", ORACLE_CASES, ids=[f"{g}-{k}" for (g, k), _ in ORACLE_CASES])
+def test_enumerate_oracle_stdout_digest(capsys, args, digest):
+    group, kind = args
+    assert main(["enumerate", "--group", group, "--kind", kind, "--oracle"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
