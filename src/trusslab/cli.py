@@ -25,6 +25,7 @@ from .structures import (
     lambda_family,
     normalize_kind,
     skew_truss_consequence_report,
+    split_key,
     structure_from_json,
     structure_to_json,
     verify,
@@ -93,8 +94,11 @@ def json_text(value) -> str:
 def _emit(payload: dict, output: str | None) -> None:
     text = json_text(payload) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -201,7 +205,7 @@ def _oracle_payload(group, kind) -> dict:
     else:
         oracle = enumeration.raw_interchange_search(group)
         result = enumeration.enumerate_interchange(group)
-    param_keys = tuple(sorted(o.structure_key() for o in result.structures))
+    param_keys = tuple(split_key(kind, group.order, key) for key in result.keys)
     return {
         "group": group.name,
         "kind": kind,
@@ -321,11 +325,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except SemanticError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, getattr(args, "output", None))
-        _note(f"failure: {exc}")
-        return EXIT_SEMANTIC
+        try:
+            return args.func(args)
+        except SemanticError as exc:
+            _emit({"error": type(exc).__name__, "message": str(exc)}, getattr(args, "output", None))
+            _note(f"failure: {exc}")
+            return EXIT_SEMANTIC
     except (InputError, GroupValidationError) as exc:
         _note(f"input error: {exc}")
         return EXIT_INPUT

@@ -28,7 +28,6 @@ import itertools
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 from .errors import CarrierTooLarge, GroupMismatch, InputError, TrussLabError
 from .groups import (
@@ -56,9 +55,6 @@ from .structures import (
     verified_key,
     verify,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ORDER_CAP_DEFAULT = 4
 GUARDED_ORDER_CAP = 6
@@ -461,6 +457,9 @@ def are_isomorphic(a: AlgebraObject, b: AlgebraObject) -> bool:
 
 # ---------------------------------------------------------------------------
 # raw-axiom oracles (carriers of size <= 3)
+#
+# Plain loops over every table and self-map, read against the axioms as
+# written: neither the sigma + lambda reduction nor the law engine in ops.
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -475,151 +474,88 @@ def _require_tiny(G: FiniteGroup, what: str) -> None:
         )
 
 
-def _all_tables(n: int) -> np.ndarray:
-    import numpy as np
-
-    count = n ** (n * n)
-    ks = np.arange(count, dtype=np.int64)
-    powers = n ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-    return ((ks[:, None] // powers[None, :]) % n).reshape(count, n, n)
+def _holds(n: int, arity: int, axiom) -> bool:
+    """Whether axiom(*xs) is true for every arity-tuple xs of elements."""
+    return all(itertools.starmap(axiom, itertools.product(range(n), repeat=arity)))
 
 
-def _assoc_mask(tables: np.ndarray) -> np.ndarray:
-    import numpy as np
+def _associative(t) -> bool:
+    return _holds(len(t), 3, lambda a, b, c: t[a][t[b][c]] == t[t[a][b]][c])
 
-    k, n, _ = tables.shape
-    flat = tables.reshape(k, n * n)
-    idx_left = (tables.reshape(k, n * n, 1) * n + np.arange(n)).reshape(k, -1)
-    left = np.take_along_axis(flat, idx_left, axis=1)
-    idx_right = (np.arange(n).reshape(1, n, 1, 1) * n + tables.reshape(k, 1, n, n)).reshape(k, -1)
-    right = np.take_along_axis(flat, idx_right, axis=1)
-    return (left == right).all(axis=1)
+
+def _tables(n: int, law) -> list:
+    """Every n x n table (a tuple of rows) on which law holds, in
+    lexicographic order."""
+    rows = list(itertools.product(range(n), repeat=n))
+    return [t for t in itertools.product(rows, repeat=n) if law(t)]
+
+
+def _result(keys: list) -> OracleResult:
+    keys.sort()
+    return OracleResult(count=len(keys), keys=tuple(keys))
 
 
 def raw_skew_truss_search(G: FiniteGroup) -> OracleResult:
-    """Scan every (circ table, sigma map) pair against associativity and the
-    skew distributivity axiom, no structure theory involved."""
+    """Scan every circ table for associativity, then every sigma map for
+    left skew sigma-distributivity a o (b + c) = a o b - sigma(a) + a o c."""
     _require_tiny(G, "skew truss")
-    import numpy as np
-
-    n = G.order
-    add = np.array(G.table, dtype=np.int64)
-    inv = np.array(G.inverse, dtype=np.int64)
-    tables = _all_tables(n)
-    k = len(tables)
-    flat = tables.reshape(k, n * n)
-    assoc = _assoc_mask(tables)
-
-    # lhs[k,a,b,c] = circ[a, b+c]; shared across sigma
-    idx = (np.arange(n).reshape(n, 1, 1) * n + add[None, :, :]).reshape(1, -1)
-    lhs = np.take_along_axis(flat, np.broadcast_to(idx, (k, idx.shape[1])), axis=1)
-    lhs = lhs.reshape(k, n, n, n)
-
-    keys = []
-    for sigma in itertools.product(range(n), repeat=n):
-        neg = inv[np.array(sigma)]
-        head = add[tables, neg[None, :, None]]  # circ[a,b] - sigma(a)
-        rhs = add[head[:, :, :, None], tables[:, :, None, :]]
-        good = assoc & (lhs == rhs).all(axis=(1, 2, 3))
-        for i in np.flatnonzero(good):
-            keys.append((sigma, tuple(int(x) for x in flat[i])))
-    keys.sort()
-    return OracleResult(count=len(keys), keys=tuple(keys))
+    n, add, inv = G.order, G.table, G.inverse
+    return _result([
+        (sigma, sum(circ, ()))
+        for circ in _tables(n, _associative)
+        for sigma in itertools.product(range(n), repeat=n)
+        if _holds(n, 3, lambda a, b, c: circ[a][add[b][c]]
+                  == add[add[circ[a][b]][inv[sigma[a]]]][circ[a][c]])
+    ])
 
 
 def raw_weak_truss_search(G: FiniteGroup) -> OracleResult:
-    """Scan every (dot table, sigma map) pair against left distributivity
-    and weak sigma-associativity."""
+    """Scan every dot table for left distributivity, then every sigma map
+    for weak sigma-associativity (sigma(a) + a.b).c = a.(b.c)."""
     _require_tiny(G, "weak truss")
-    import numpy as np
+    n, add = G.order, G.table
 
-    n = G.order
-    add = np.array(G.table, dtype=np.int64)
-    tables = _all_tables(n)
-    k = len(tables)
-    flat = tables.reshape(k, n * n)
+    def distributive(t):
+        return _holds(n, 3, lambda a, b, c: t[a][add[b][c]] == add[t[a][b]][t[a][c]])
 
-    idx = (np.arange(n).reshape(n, 1, 1) * n + add[None, :, :]).reshape(1, -1)
-    dist_lhs = np.take_along_axis(flat, np.broadcast_to(idx, (k, idx.shape[1])), axis=1)
-    dist_lhs = dist_lhs.reshape(k, n, n, n)
-    dist_rhs = add[tables[:, :, :, None], tables[:, :, None, :]]
-    distributive = (dist_lhs == dist_rhs).all(axis=(1, 2, 3))
-
-    # rhs[k,a,b,c] = dot[a, dot[b,c]]; shared across sigma
-    idx_r = (np.arange(n).reshape(1, n, 1, 1) * n + tables.reshape(k, 1, n, n)).reshape(k, -1)
-    weak_rhs = np.take_along_axis(flat, idx_r, axis=1).reshape(k, n, n, n)
-
-    keys = []
-    for sigma in itertools.product(range(n), repeat=n):
-        sig = np.array(sigma)
-        e = add[sig[None, :, None], tables]  # sigma(a) + a.b
-        idx_l = (e.reshape(k, n * n, 1) * n + np.arange(n)).reshape(k, -1)
-        weak_lhs = np.take_along_axis(flat, idx_l, axis=1).reshape(k, n, n, n)
-        good = distributive & (weak_lhs == weak_rhs).all(axis=(1, 2, 3))
-        for i in np.flatnonzero(good):
-            keys.append((sigma, tuple(int(x) for x in flat[i])))
-    keys.sort()
-    return OracleResult(count=len(keys), keys=tuple(keys))
+    return _result([
+        (sigma, sum(dot, ()))
+        for dot in _tables(n, distributive)
+        for sigma in itertools.product(range(n), repeat=n)
+        if _holds(n, 3, lambda a, b, c: dot[add[sigma[a]][dot[a][b]]][c] == dot[a][dot[b][c]])
+    ])
 
 
 def raw_interchange_search(G: FiniteGroup, associative_only: bool = False) -> OracleResult:
     """Scan every table against (w+x)o(y+z) = (woy)+(xoz)."""
     _require_tiny(G, "interchange")
-    import numpy as np
+    n, add = G.order, G.table
 
-    n = G.order
-    add = np.array(G.table, dtype=np.int64)
-    tables = _all_tables(n)
-    k = len(tables)
-    flat = tables.reshape(k, n * n)
-    idx = (add[:, :, None, None] * n + add[None, None, :, :]).reshape(1, -1)
-    lhs = np.take_along_axis(flat, np.broadcast_to(idx, (k, idx.shape[1])), axis=1)
-    lhs = lhs.reshape(k, n, n, n, n)
-    rhs = add[tables[:, :, None, :, None], tables[:, None, :, None, :]]
-    good = (lhs == rhs).all(axis=(1, 2, 3, 4))
-    if associative_only:
-        good &= _assoc_mask(tables)
-    keys = sorted((tuple(int(x) for x in flat[i]),) for i in np.flatnonzero(good))
-    return OracleResult(count=len(keys), keys=tuple(keys))
+    def law(t):
+        return _holds(
+            n, 4, lambda w, x, y, z: t[add[w][x]][add[y][z]] == add[t[w][y]][t[x][z]]
+        ) and (not associative_only or _associative(t))
+
+    return _result([(sum(circ, ()),) for circ in _tables(n, law)])
 
 
 def raw_constant_lambda_ditruss_search(
     G: FiniteGroup, image_commuting_only: bool = False
 ) -> OracleResult:
-    """Scan (sigma map, circ table) pairs for: sigma an idempotent
-    endomorphism, derived dot = -sigma-pi1 + circ row-constant, circ
-    associative, the row map an idempotent endomorphism, optionally
-    image-commuting with sigma."""
+    """Scan every associative circ table, then every idempotent
+    endomorphism sigma, for: derived dot = -sigma-pi1 + circ row-constant,
+    the row map an idempotent endomorphism, optionally image-commuting with
+    sigma."""
     _require_tiny(G, "constant-lambda ditruss")
-    import numpy as np
-
-    n = G.order
-    add = np.array(G.table, dtype=np.int64)
-    inv = np.array(G.inverse, dtype=np.int64)
-    tables = _all_tables(n)
-    assoc = _assoc_mask(tables)
-    endo_imgs = {
-        e.images for e in enumerate_endomorphisms(G) if is_idempotent_map(e)
-    }
-
+    n, add, inv = G.order, G.table, G.inverse
+    idempotents = {e.images for e in enumerate_endomorphisms(G) if is_idempotent_map(e)}
     keys = []
-    for sigma in itertools.product(range(n), repeat=n):
-        if tuple(sigma) not in endo_imgs:
-            continue
-        neg = inv[np.array(sigma)]
-        dot = add[neg[None, :, None], tables]  # -sigma(a) + circ[a,b]
-        constant = (dot == dot[:, :1, :]).all(axis=(1, 2))
-        good = assoc & constant
-        for i in np.flatnonzero(good):
-            tau = tuple(int(x) for x in dot[i, 0])
-            if tau not in endo_imgs:
-                continue
-            if image_commuting_only and not image_commuting(G, sigma, tau):
-                continue
-            keys.append((
-                tuple(sigma),
-                tuple(int(x) for x in tables[i].reshape(-1)),
-                tuple(int(x) for x in dot[i].reshape(-1)),
-            ))
-    keys.sort()
-    return OracleResult(count=len(keys), keys=tuple(keys))
+    for circ in _tables(n, _associative):
+        for sigma in idempotents:
+            dot = tuple(tuple(add[inv[s]][x] for x in row) for s, row in zip(sigma, circ))
+            tau = dot[0]
+            if dot == (tau,) * n and tau in idempotents and (
+                not image_commuting_only or image_commuting(G, sigma, tau)
+            ):
+                keys.append((sigma, sum(circ, ()), sum(dot, ())))
+    return _result(keys)

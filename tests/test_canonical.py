@@ -115,22 +115,30 @@ def test_failing_input_raises_with_the_first_witness():
         assert info.value.report == expected
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, trusslab, trusslab.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+_STDLIB_ONLY = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import trusslab
+from trusslab import cli, enumeration as e
+G = trusslab.builtin_group("Z3")
+for run in (e.enumerate_skew_trusses, e.enumerate_weak_trusses,
+            e.enumerate_interchange, e.enumerate_constant_lambda_ditrusses,
+            e.raw_skew_truss_search, e.raw_weak_truss_search,
+            e.raw_interchange_search, e.raw_constant_lambda_ditruss_search):
+    run(G)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["enumerate", "--group", "Z3", "--kind", "interchange", "--oracle"]) == 0
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(loaded - set(sys.stdlib_module_names) - {"trusslab"})))
+"""
 
 
-def test_truss_searches_leave_numpy_unloaded():
-    # numpy belongs to the raw oracles alone, which run only on order <= 3
+def test_library_loads_only_the_standard_library():
+    """Every search, every raw oracle and the CLI's oracle comparison run
+    on Z3 without loading any module outside the standard library."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys, trusslab as t; G = t.builtin_group('Z4');"
-        "t.enumerate_skew_trusses(G); t.enumerate_weak_trusses(G);"
-        "print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", _STDLIB_ONLY], env=env, capture_output=True, text=True, check=True
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

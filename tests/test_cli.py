@@ -403,6 +403,25 @@ def test_output_to_file(capsys, tmp_path):
     assert json.loads(out.read_text())["verified"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["verify", "--input", str(FIXTURES / "pairing_skew_ring.json")], "missing"),
+        (["enumerate", "--group", "Z2", "--kind", "interchange"], "directory"),
+        # the SemanticError payload is written outside the command's own try
+        (["convert", "--input", str(FIXTURES / "bad_skew.json"), "--to", "weak-truss"], "missing"),
+    ],
+    ids=["verify-missing-dir", "enumerate-directory", "convert-failure-missing-dir"],
+)
+def test_unwritable_output_gives_exit_2(capsys, tmp_path, argv, target):
+    output = tmp_path / "no-such-dir" / "x.json" if target == "missing" else tmp_path
+    code, out, err = run(capsys, *argv, "--output", str(output))
+    assert code == 2
+    assert out == ""
+    assert f"cannot write {output}" in err
+    assert "Traceback" not in err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "trusslab.cli", "verify", "--input",

@@ -77,9 +77,9 @@ def test_constant_lambda_search_matches_oracle(name, imcomm):
 
 @functools.lru_cache(maxsize=None)
 def _skew_trusses(name):
-    """The full skew-truss classification on a built-in group of order <= 6,
+    """The full skew-truss classification on a built-in group of order <= 7,
     computed once per session."""
-    return enumerate_skew_trusses(builtin_group(name), cap=6)
+    return enumerate_skew_trusses(builtin_group(name), cap=7)
 
 
 @pytest.mark.parametrize(
@@ -91,8 +91,33 @@ def test_order_six_skew_truss_counts(name, total, classes):
 
 
 def test_z7_skew_truss_counts():
-    result = enumerate_skew_trusses(builtin_group("Z7"), cap=7)
+    result = _skew_trusses("Z7")
     assert (result.total_count, result.iso_class_count) == (20449, 3440)
+
+
+# Skew braces are the skew-truss classes with sigma = id and (T, o) a group,
+# that is, every row and column of circ a permutation.  Guarnieri and
+# Vendramin, "Skew braces and the Yang-Baxter equation", Math. Comp. 86
+# (2017), count them by order: 1, 1, 4, 1, 6, 1 for orders 2 to 7.
+SKEW_BRACES = {"Z2": 1, "Z3": 1, "Z4": 2, "V4": 2, "Z5": 1, "Z6": 2, "S3": 4, "Z7": 1}
+
+
+def _is_skew_brace(obj):
+    n = obj.order
+    table = obj.circ.table
+    return obj.sigma == tuple(range(n)) and all(
+        len(set(line)) == n for line in itertools.chain(table, zip(*table))
+    )
+
+
+def test_skew_brace_counts_match_guarnieri_vendramin():
+    by_order = [0] * 8
+    for name, expected in SKEW_BRACES.items():
+        result = _skew_trusses(name)
+        braces = sum(map(_is_skew_brace, result.representatives))
+        assert braces == expected, name
+        by_order[result.group.order] += braces
+    assert by_order[2:] == [1, 1, 4, 1, 6, 1]
 
 
 @pytest.mark.parametrize(
@@ -415,12 +440,19 @@ def test_order_cap_and_guard():
     assert result.total_count > 0
 
 
-def test_oracles_reject_large_carriers():
-    Z4 = builtin_group("Z4")
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        raw_skew_truss_search,
+        raw_weak_truss_search,
+        raw_interchange_search,
+        raw_constant_lambda_ditruss_search,
+    ],
+    ids=["skew-truss", "weak-truss", "interchange", "ditruss"],
+)
+def test_oracles_reject_large_carriers(oracle):
     with pytest.raises(CarrierTooLarge):
-        raw_skew_truss_search(Z4)
-    with pytest.raises(CarrierTooLarge):
-        raw_interchange_search(Z4)
+        oracle(builtin_group("Z4"))
 
 
 def test_enumeration_deterministic(Z3):
