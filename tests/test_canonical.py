@@ -115,6 +115,26 @@ def test_failing_input_raises_with_the_first_witness():
         assert info.value.report == expected
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, trusslab, trusslab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_truss_searches_leave_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, trusslab as t; G = t.builtin_group('Z4');"
+        "t.enumerate_skew_trusses(G); t.enumerate_weak_trusses(G);"
+        "print('numpy' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 _STDLIB_ONLY = """
 import contextlib, io, json, sys
 before = set(sys.modules)
