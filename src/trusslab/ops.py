@@ -11,9 +11,11 @@ order, by two C-level primitives: bytes.translate with a row padded to 256
 bytes, which applies the row as a map, and bytes.join over strings picked
 by element values.  One == compares the two strings, and the first
 differing offset of an unequal pair unravels into the witness, lhs and rhs
-that a plain scan over every tuple in lexicographic order gives.  That
-scalar scan is kept, one loop per law, as the reference in
-tests/law_reference.py.
+that a plain scan over every tuple in lexicographic order gives.  On
+carriers with n·n <= 256 the interchange law is first decided for all its
+tuples by one == of two whole-table strings; only a failing table is then
+scanned per w, from the first failing one, for its witness.  That scalar
+scan is kept, one loop per law, as the reference in tests/law_reference.py.
 """
 
 from __future__ import annotations
@@ -287,18 +289,52 @@ def _right_skew(G: FiniteGroup, rows: Sequence[bytes], s: Sequence[int], law: st
     return LawReport(law, False, (i // n, i % n, c), lhs[i], rhs[i])
 
 
+_INTERCHANGE_INDEX: dict[tuple, bytes] = {}
+
+
+def _interchange_index(G: FiniteGroup) -> bytes:
+    """(w + x)·n + (y + z) over (w, y, x, z): the offset of t[w + x][y + z]
+    in a flat n×n table, cached per group table.  Needs n·n <= 256."""
+    index = _INTERCHANGE_INDEX.get(G.table)
+    if index is None:
+        n, rows = G.order, addition_maps(G).rows
+        index = _INTERCHANGE_INDEX[G.table] = bytes(
+            s * n + v for w in range(n) for y in rows for s in rows[w] for v in y
+        )
+    return index
+
+
 def _interchange(G: FiniteGroup, rows: Sequence[bytes]) -> LawReport:
-    """(w+x)*(y+z) = (w*y) + (x*z), per w over (x, y, z).  The left block
-    of x over (y, z) depends on w + x alone, and the right one is row x
-    shifted by each w*y; both come from strings built once per structure."""
+    """(w+x)*(y+z) = (w*y) + (x*z).  For n·n <= 256 one == decides every
+    tuple, with both sides over (w, y, x, z): the left side is the flat
+    table read at _interchange_index, the right one joins, for each w*y = h,
+    the table h + t[x][z] over (x, z).  Where they differ, and for larger
+    carriers from the start, the law is scanned per w over (x, y, z): the
+    left block of x over (y, z) depends on w + x alone, and the right one
+    is row x shifted by each w*y."""
     k = addition_maps(G)
+    n, start = len(rows), 0
+    if n * n <= 256:
+        flat = b"".join(rows)
+        sums = [flat.translate(p) for p in k.left]  # h -> h + t[x][z] over (x, z)
+        lhs = _interchange_index(G).translate(_pad(flat))
+        rhs = b"".join([sums[h] for h in flat])
+        if lhs == rhs:
+            return holds("interchange")
+        # the first failing w: comparing per-w slices costs less than
+        # _first_offset on all n**4 bytes
+        size = n**3
+        start = next(
+            w for w in range(n) if lhs[w * size:(w + 1) * size] != rhs[w * size:(w + 1) * size]
+        )
     by_sum = [k.flat.translate(_pad(r)) for r in rows]  # s -> t[s][y + z]
     shifted = [[r.translate(p) for p in k.left] for r in rows]  # x -> h -> h + t[x][z]
-    for w, r in enumerate(rows):
+    for w in range(start, n):
+        r = rows[w]
         lhs = b"".join([by_sum[x] for x in k.rows[w]])
         rhs = b"".join([by_h[h] for by_h in shifted for h in r])
         if lhs != rhs:
-            return law_violation("interchange", (w,), lhs, rhs, len(rows))
+            return law_violation("interchange", (w,), lhs, rhs, n)
     return holds("interchange")
 
 

@@ -95,6 +95,38 @@ def test_z7_skew_truss_counts():
     assert (result.total_count, result.iso_class_count) == (20449, 3440)
 
 
+# total/classes per catalog group of the classifications built from pairs of
+# endomorphisms: interchange near-rings (all, associative) and constant-lambda
+# ditrusses (all, image-commuting)
+ENDOMORPHISM_PAIR_COUNTS = {
+    "Z1": ((1, 1), (1, 1), (1, 1), (1, 1)),
+    "Z2": ((4, 4), (4, 4), (4, 4), (4, 4)),
+    "Z3": ((9, 9), (4, 4), (4, 4), (4, 4)),
+    "Z4": ((16, 16), (4, 4), (4, 4), (4, 4)),
+    "V4": ((256, 56), (40, 10), (40, 10), (40, 10)),
+    "Z5": ((25, 25), (4, 4), (4, 4), (4, 4)),
+    "Z6": ((36, 36), (16, 16), (16, 16), (16, 16)),
+    "S3": ((22, 10), (12, 6), (19, 9), (12, 6)),
+    "Z7": ((49, 49), (4, 4), (4, 4), (4, 4)),
+    "Z8": ((64, 64), (4, 4), (4, 4), (4, 4)),
+    "D4": ((560, 162), (27, 9), (52, 15), (27, 9)),
+    "Q8": ((208, 31), (3, 3), (4, 4), (3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENDOMORPHISM_PAIR_COUNTS))
+def test_endomorphism_pair_classification_counts(name):
+    G = builtin_group(name)
+    results = (
+        enumerate_interchange(G),
+        enumerate_interchange(G, associative_only=True),
+        enumerate_constant_lambda_ditrusses(G),
+        enumerate_constant_lambda_ditrusses(G, image_commuting_only=True),
+    )
+    counts = tuple((r.total_count, r.iso_class_count) for r in results)
+    assert counts == ENDOMORPHISM_PAIR_COUNTS[name]
+
+
 # Skew braces are the skew-truss classes with sigma = id and (T, o) a group,
 # that is, every row and column of circ a permutation.  Guarnieri and
 # Vendramin, "Skew braces and the Yang-Baxter equation", Math. Comp. 86

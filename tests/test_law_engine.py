@@ -6,7 +6,9 @@ tables and maps, valid structures from the enumerators, and the same
 structures with one or two cells of a table (or one entry of sigma)
 changed, so that passing laws, failures at the first tuples and failures
 deep in the scan all occur.  The witness-edge cases change only the last
-or only the first cell (or entry of sigma), on Z1, Z8, Q8 and Z13.
+or only the first cell (or entry of sigma), on Z1, Z8, Q8 and Z13.  The
+interchange law is also run on both sides of its route boundary: Z16, the
+largest carrier decided by one whole-table comparison, and Z17.
 """
 
 import functools
@@ -35,6 +37,8 @@ from trusslab.structures import DITRUSS, check, make_algebra
 GROUPS = ["Z1", "Z2", "Z3", "V4", "S3", "D4", "Q8", "Z8"]
 # the witness-edge cases: order 1, two groups of order 8, and Z13
 EDGE_GROUPS = ["Z1", "Z8", "Q8", "Z13"]
+# cyclic groups built inline; the catalog stops at order 8
+INLINE_CYCLIC = {"Z13": 13, "Z16": 16, "Z17": 17}
 
 # (name, takes sigma) for every law predicate of trusslab.ops
 LAWS = [
@@ -50,9 +54,10 @@ LAWS = [
 
 @functools.lru_cache(maxsize=None)
 def group(name):
-    """A built-in group, or Z13."""
-    if name == "Z13":
-        return validate_group([[(a + b) % 13 for b in range(13)] for a in range(13)], "Z13")
+    """A built-in group, or one of INLINE_CYCLIC."""
+    if name in INLINE_CYCLIC:
+        n = INLINE_CYCLIC[name]
+        return validate_group([[(a + b) % n for b in range(n)] for a in range(n)], name)
     return builtin_group(name)
 
 
@@ -283,3 +288,30 @@ def test_witness_edges(name):
             assert check(obj).reports[0] == ref.ditruss_compatibility(obj)
     if n > 1:  # both ends of the scan were reached
         assert n - 1 in first["late"] and 0 in first["early"], first
+
+
+@pytest.mark.parametrize("name", ["Z16", "Z17"])
+def test_interchange_route_boundary(name):
+    """Interchange near-rings a o b = alpha*a + beta*b on Z16 (n*n = 256,
+    decided by one whole-table comparison) and Z17 (scanned per w only):
+    as they are, with only the last or only the first cell changed, and
+    with the last row shifted, which first fails at w = 1.  Every report
+    is the scalar scan's."""
+    G = group(name)
+    n = G.order
+
+    def report(rows):
+        f = binop(G, rows)
+        library = ops.satisfies_interchange(f)
+        assert library == ref.satisfies_interchange(f)
+        return library
+
+    for alpha, beta in ((1, 1), (3, n - 2), (0, 5)):
+        table = [[(alpha * a + beta * b) % n for b in range(n)] for a in range(n)]
+        assert report(table).holds
+        for i in (n - 1, 0):
+            changed = [list(row) for row in table]
+            changed[i][i] = (changed[i][i] + 1) % n
+            assert not report(changed).holds
+        shifted = table[:-1] + [[(x + 1) % n for x in table[-1]]]
+        assert report(shifted).witness[0] == 1

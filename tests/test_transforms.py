@@ -31,6 +31,7 @@ from trusslab import (
     weak_to_truss,
 )
 from trusslab.enumeration import (
+    canonical_key,
     enumerate_constant_lambda_ditrusses,
     enumerate_interchange,
     enumerate_skew_trusses,
@@ -172,6 +173,30 @@ def test_involution_squares_to_identity_everywhere():
             once, _ = ditruss_involution(obj)
             twice, _ = ditruss_involution(once)
             assert twice.structure_key() == obj.structure_key()
+
+
+# classes of constant-lambda ditrusses that the involution fixes, per group
+INVOLUTION_FIXED_CLASSES = {
+    "Z1": 1, "Z2": 2, "Z3": 2, "Z4": 2, "V4": 4, "Z5": 2,
+    "Z6": 4, "S3": 3, "Z7": 2, "Z8": 2, "D4": 5, "Q8": 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVOLUTION_FIXED_CLASSES))
+def test_involution_permutes_the_classes(name):
+    """The sigma <-> tau duality on whole classifications: isomorphic
+    ditrusses have isomorphic images, so the involution induces a map on
+    the classes, and it is a bijection of the classes onto themselves."""
+    result = enumerate_constant_lambda_ditrusses(builtin_group(name))
+    on_classes = {}
+    for obj in result.structures:
+        image = canonical_key(ditruss_involution(obj)[0])
+        assert on_classes.setdefault(canonical_key(obj), image) == image
+    classes = {canonical_key(rep) for rep in result.representatives}
+    assert set(on_classes) == classes
+    assert sorted(on_classes.values()) == sorted(classes)
+    fixed = sum(key == image for key, image in on_classes.items())
+    assert fixed == INVOLUTION_FIXED_CLASSES[name]
 
 
 def test_involution_requires_column_constant_dot(Z4):
