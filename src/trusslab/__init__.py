@@ -94,10 +94,8 @@ from .enumeration import (
     enumerate_interchange,
     enumerate_skew_trusses,
     enumerate_weak_trusses,
-    raw_interchange_search,
-    raw_skew_truss_search,
-    raw_weak_truss_search,
     relabel_structure,
 )
+from .oracles import raw_interchange_search, raw_skew_truss_search, raw_weak_truss_search
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import enumeration, substructure, transforms
+from . import enumeration, oracles, substructure, transforms
 from .catalog import builtin_names, resolve_group
 from .errors import GroupValidationError, InputError, SemanticError, TrussLabError
 from .structures import (
@@ -107,15 +107,19 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_structure(path: str) -> AlgebraObject:
+def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError covers bad JSON and bad UTF-8; RecursionError, deep nesting
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return structure_from_json(data)
+
+
+def _load_structure(path: str) -> AlgebraObject:
+    return structure_from_json(_read_json(path))
 
 
 def cmd_verify(args) -> int:
@@ -185,25 +189,33 @@ def cmd_enumerate(args) -> int:
         result = enumeration.enumerate_interchange(group)
     payload = result.to_json(up_to_iso=args.up_to_iso)
     _emit(payload, args.output)
-    _note(
+    summary = (
         f"{group.name}/{kind}: {result.total_count} structures, "
         f"{result.iso_class_count} up to isomorphism"
     )
+    counters = result.counters
+    if counters:
+        summary += (
+            f"; first pairs searched {counters['first_pairs_searched']} of "
+            f"{counters['first_pairs']}, leaves visited {counters['leaves_visited']}, "
+            f"kept {counters['leaves_kept']}, |Aut G| = {counters['automorphisms']}"
+        )
+    _note(summary)
     return EXIT_OK
 
 
 def _oracle_payload(group, kind) -> dict:
     if kind == SKEW_TRUSS:
-        oracle = enumeration.raw_skew_truss_search(group)
+        oracle = oracles.raw_skew_truss_search(group)
         result = enumeration.enumerate_skew_trusses(group)
     elif kind == WEAK_TRUSS:
-        oracle = enumeration.raw_weak_truss_search(group)
+        oracle = oracles.raw_weak_truss_search(group)
         result = enumeration.enumerate_weak_trusses(group)
     elif kind == DITRUSS:
-        oracle = enumeration.raw_constant_lambda_ditruss_search(group)
+        oracle = oracles.raw_constant_lambda_ditruss_search(group)
         result = enumeration.enumerate_constant_lambda_ditrusses(group)
     else:
-        oracle = enumeration.raw_interchange_search(group)
+        oracle = oracles.raw_interchange_search(group)
         result = enumeration.enumerate_interchange(group)
     param_keys = tuple(split_key(kind, group.order, key) for key in result.keys)
     return {
@@ -257,15 +269,7 @@ def cmd_report(args) -> int:
 
 
 def _group_argument(value: str):
-    if value.endswith(".json"):
-        try:
-            with open(value, encoding="utf-8") as fh:
-                return json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read {value}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{value} is not valid JSON: {exc}") from exc
-    return value
+    return _read_json(value) if value.endswith(".json") else value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,13 +2,13 @@
 
 Two independent routes are kept deliberately separate:
 
-* a parametrized backtracking search over (sigma, lambda-family) pairs:
-  every structure it finds is re-verified against the raw axioms before it
-  is emitted;
-* raw-axiom brute force over full operation tables, feasible only for
-  carriers of size <= 3, used to certify the parametrization (the
-  parametrization is justified by the structure theory that the tests are
-  supposed to certify, so the oracle must not share it).
+* a parametrized backtracking search over (sigma, lambda-family) pairs,
+  classified as it runs (below);
+* raw-axiom brute force over full operation tables (the oracles module),
+  feasible only for carriers of size <= 3, used to certify the
+  parametrization (the parametrization is justified by the structure
+  theory that the tests are supposed to certify, so the oracle must not
+  share it).
 
 The parametrized search keys on the reduction circ(a,b) = sigma(a) +
 lam_a(b) with every lam_a an additive endomorphism, under which
@@ -19,6 +19,19 @@ associativity of circ is equivalent to
 
 and weak sigma-associativity of the dot table lam is equivalent to (ii)
 alone (with a o b read as sigma(a) + lam_a(b)).
+
+Skew and weak trusses are classified isomorph-free, after McKay's
+canonical augmentation (J. Algorithms 26, 1998).  An automorphism h fixes
+0, so it moves the first search pair (sigma(0), lam_0) to (h sigma(0),
+h lam_0 h^-1).  The search starts from the least pair of each orbit only,
+and keeps a leaf only if no automorphism fixing that pair maps its key to a
+smaller one: that is one leaf per isomorphism class.  The least image of a
+kept leaf over Aut(G) is the class representative, and it passes
+verified_key; the class has |Aut G| / |Stab| members.  The keys of every
+structure are the union of the representatives' orbits, built and
+verified only when a listing asks for them.  Interchange near-rings and
+constant-lambda ditrusses are built from pairs of endomorphisms, every one
+verified, and classified by marking orbits (_classify).
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import CarrierTooLarge, GroupMismatch, InputError, TrussLabError
@@ -36,12 +49,18 @@ from .groups import (
     compose_commute,
     compose_maps,
     enumerate_endomorphisms,
-    image_commuting,
     image_commuting_masks,
     is_idempotent_map,
     validate_group,
 )
 from .ops import BinOpTable, _pad, addition_maps, is_associative
+from .oracles import (  # the oracles lived here, and callers still import them from here
+    ORACLE_ORDER_CAP,
+    raw_constant_lambda_ditruss_search,
+    raw_interchange_search,
+    raw_skew_truss_search,
+    raw_weak_truss_search,
+)
 from .structures import (
     DITRUSS,
     INTERCHANGE,
@@ -54,33 +73,55 @@ from .structures import (
     split_key,
     verified_key,
     verify,
+    verify_key,
 )
 
 ORDER_CAP_DEFAULT = 4
 GUARDED_ORDER_CAP = 6
 CANDIDATE_BUDGET = 50_000_000
-ORACLE_ORDER_CAP = 3
 
 
 @dataclass
 class ClassificationResult:
-    """Every structure of a kind on a group, kept as its structure_bytes()
-    key in sorted order, and one verified object per isomorphism class.
-    The objects of the full list are built when it is first asked for."""
+    """Every structure of a kind on a group up to isomorphism: one verified
+    object per class, the least of its class in structure_bytes() key
+    order, in key order, and the number of structures.  The sorted keys of
+    every structure, and their objects, are built when first asked for.
+    counters describe the search for the stderr summary; they are not part
+    of the payload."""
 
     group: FiniteGroup
     kind: str
-    keys: list[bytes]
     representatives: list[AlgebraObject]
+    total_count: int
     search_stats: dict
-
-    @property
-    def total_count(self) -> int:
-        return len(self.keys)
+    counters: dict = field(default_factory=dict)
 
     @property
     def iso_class_count(self) -> int:
         return len(self.representatives)
+
+    @functools.cached_property
+    def keys(self) -> list[bytes]:
+        """The structure_bytes() key of every structure, in sorted order:
+        the union of the representatives' orbits under Aut(G), every key
+        but the representatives' own checked by verify_key.  _classify,
+        which holds every key already, sets this itself."""
+        reps = {o.structure_bytes() for o in self.representatives}
+        pullbacks = _pullbacks(self.group, self.kind)
+        found = set(reps)
+        for key in reps:
+            found.update(bytes(pull(key)).translate(push) for _h, pull, push in pullbacks)
+        if len(found) != self.total_count:
+            raise TrussLabError(
+                f"{self.kind} orbits on {self.group.name} hold {len(found)} "
+                f"structures, not {self.total_count}"
+            )
+        keys = sorted(found)
+        for key in keys:
+            if key not in reps:
+                verify_key(self.group, self.kind, key)
+        return keys
 
     @functools.cached_property
     def structures(self) -> list[AlgebraObject]:
@@ -112,11 +153,14 @@ class ClassificationResult:
 # ---------------------------------------------------------------------------
 # parametrized search
 
-def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: bool):
+def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: bool,
+                  first_pairs=None):
     """All (sigma, lambda) pairs with sigma(a) in sigma_domains[a] and every
     lam_a in ``endomorphisms`` (the sorted list enumerate_endomorphisms(G)
     returns) that satisfy (ii), and (i) when condition_i.  Yields
     (sigma, digit-tuple, dot-rows, circ-rows), where digit a indexes lam_a.
+    first_pairs, when given, holds the only (sigma(0), digit 0) pairs the
+    search starts from.
 
     The search assigns the pair (sigma(k), lam_k) for k = 0, 1, ..., each
     in increasing order.  The instance (x, y) of (i) and (ii) is decided
@@ -133,6 +177,10 @@ def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: boo
     shifted = [[tuple(row[x] for x in e) for e in endos] for row in G.table]
     pairs = [[(k, y) for y in range(k + 1)] + [(x, k) for x in range(k)] for k in range(n)]
     all_endos = range(len(endos))
+    # lams[k][s]: the digits lam_k takes when sigma(k) = s and lam_k is free
+    lams = [[all_endos] * n] * n
+    if first_pairs is not None:
+        lams[0] = [[e for s, e in first_pairs if s == t] for t in range(n)]
     sigma = [0] * n
     digits = [0] * n
     rows: list = [None] * n
@@ -148,7 +196,7 @@ def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: boo
         domain = sigma_domains[k]
         for s in domain if fs is None else (fs,) if fs in domain else ():
             sigma[k] = s
-            for e in all_endos if fe is None else (fe,):
+            for e in lams[k][s] if fe is None else (fe,):
                 digits[k] = e
                 rows[k] = shifted[s][e]
                 placed = []
@@ -198,30 +246,16 @@ def enumerate_skew_trusses(
     budget: int = CANDIDATE_BUDGET,
 ) -> ClassificationResult:
     """All skew trusses on G: pairs (circ, sigma) with circ associative and
-    left skew sigma-distributive.
+    left skew sigma-distributive, classified isomorph-free (see the module
+    docstring).
 
     The sigma axis ranges over ALL self-maps.  Idempotency of sigma is not a
     consequence of the axioms (shifted group operations a o b = a + u + b
     with sigma(a) = a + u are associative and skew distributive with a
     non-idempotent sigma whenever u != 0); it only follows when sigma fixes
-    0, so pruning by it would lose structures.  Every emitted object is
-    re-verified against the raw axioms."""
-    n = G.order
-    endos = enumerate_endomorphisms(G)
-    candidates = _budget_or_raise(SKEW_TRUSS, G, n ** n, len(endos) ** n, cap, budget)
-    start = time.perf_counter()
-    keys = [
-        verified_key(G, SKEW_TRUSS, sigma, circ=circ_rows)
-        for sigma, _digits, _dot, circ_rows in _joint_search(
-            G, endos, [range(n)] * n, condition_i=True
-        )
-    ]
-    stats = {
-        "candidates": candidates,
-        "seconds": time.perf_counter() - start,
-        "sigma_fixes_zero_count": sum(1 for key in keys if key[0] == 0),
-    }
-    return _classify(G, SKEW_TRUSS, keys, stats)
+    0, so pruning by it would lose structures.  Every representative, and
+    every structure of a listing, passes verified_key."""
+    return _classify_search(G, SKEW_TRUSS, cap, budget)
 
 
 def enumerate_weak_trusses(
@@ -230,20 +264,84 @@ def enumerate_weak_trusses(
     budget: int = CANDIDATE_BUDGET,
 ) -> ClassificationResult:
     """All weak trusses on G: pairs (dot, sigma) with dot left distributive
-    and left weakly sigma-associative.  sigma carries no idempotency
-    constraint here."""
+    and left weakly sigma-associative, classified isomorph-free (see the
+    module docstring).  sigma carries no idempotency constraint here.
+    Every representative, and every structure of a listing, passes
+    verified_key."""
+    return _classify_search(G, WEAK_TRUSS, cap, budget)
+
+
+def _first_pair_orbits(G: FiniteGroup, endos, pullbacks) -> dict:
+    """The least (sigma(0), digit of lam_0) pair of each Aut(G)-orbit, in
+    increasing order, mapped to the (gather, translation) pairs of the
+    non-identity automorphisms that fix it.  h moves (s, lam) to
+    (h s, h lam h^-1)."""
+    images = [e.images for e in endos]
+    index = {f: i for i, f in enumerate(images)}
+    moves = []
+    for h, pull, push in pullbacks:
+        hinv = _inverse(h)
+        moves.append((h, [index[tuple(h[f[x]] for x in hinv)] for f in images], pull, push))
+    seen, orbits = set(), {}
+    for pair in itertools.product(range(G.order), range(len(images))):
+        if pair in seen:
+            continue
+        s, e = pair
+        orbits[pair] = []
+        for h, conjugate, pull, push in moves:
+            image = (h[s], conjugate[e])
+            seen.add(image)
+            if image == pair:
+                orbits[pair].append((pull, push))
+    return orbits
+
+
+def _classify_search(G: FiniteGroup, kind: str, cap: int, budget: int) -> ClassificationResult:
+    """The joint search from one first pair per Aut(G)-orbit.  A leaf whose
+    key an automorphism fixing its first pair makes smaller is dropped;
+    every other leaf is the one kept for its class.  Its least image over
+    Aut(G) is the representative, and that class has |Aut G| / |Stab|
+    members.  sigma(0) = 0 is invariant under Aut(G), so it is counted per
+    class as well."""
     n = G.order
+    skew = kind == SKEW_TRUSS
     endos = enumerate_endomorphisms(G)
-    candidates = _budget_or_raise(WEAK_TRUSS, G, n ** n, len(endos) ** n, cap, budget)
+    candidates = _budget_or_raise(kind, G, n ** n, len(endos) ** n, cap, budget)
     start = time.perf_counter()
-    keys = [
-        verified_key(G, WEAK_TRUSS, sigma, dot=dot_rows)
-        for sigma, _digits, dot_rows, _circ in _joint_search(
-            G, endos, [range(n)] * n, condition_i=False
-        )
-    ]
+    pullbacks = _pullbacks(G, kind)
+    automorphism_count = len(pullbacks) + 1
+    orbits = _first_pair_orbits(G, endos, pullbacks)
+    reps, total, fixing_zero, visited = [], 0, 0, 0
+    for sigma, digits, dot, circ in _joint_search(G, endos, [range(n)] * n, skew, orbits):
+        visited += 1
+        key = bytes(sigma) + b"".join(map(bytes, circ if skew else dot))
+        if any(bytes(pull(key)).translate(push) < key for pull, push in orbits[sigma[0], digits[0]]):
+            continue
+        least, fixed = key, 1
+        for _h, pull, push in pullbacks:
+            image = bytes(pull(key)).translate(push)
+            if image < least:
+                least = image
+            elif image == key:
+                fixed += 1
+        reps.append(verify_key(G, kind, least))
+        size = automorphism_count // fixed
+        total += size
+        if sigma[0] == 0:
+            fixing_zero += size
+    reps.sort()
     stats = {"candidates": candidates, "seconds": time.perf_counter() - start}
-    return _classify(G, WEAK_TRUSS, keys, stats)
+    if skew:
+        stats["sigma_fixes_zero_count"] = fixing_zero
+    counters = {
+        "first_pairs_searched": len(orbits),
+        "first_pairs": n * len(endos),
+        "leaves_visited": visited,
+        "leaves_kept": len(reps),
+        "automorphisms": automorphism_count,
+    }
+    representatives = [algebra_from_key(G, kind, key) for key in reps]
+    return ClassificationResult(G, kind, representatives, total, stats, counters)
 
 
 def _sum_of_projections(G: FiniteGroup, left, right) -> list[bytes]:
@@ -347,7 +445,9 @@ def _classify(G, kind, keys, stats) -> ClassificationResult:
                     f"was not enumerated"
                 )
             marked[j] = 1
-    return ClassificationResult(G, kind, keys, reps, stats)
+    result = ClassificationResult(G, kind, reps, len(keys), stats)
+    result.keys = keys
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +472,17 @@ def _pullbacks(G: FiniteGroup, kind: str) -> tuple:
             h = aut.images
             if h == identity:
                 continue
-            hinv = [0] * n
-            for a, v in enumerate(h):
-                hinv[v] = a
-            entries.append((h, itemgetter(*pullback_index(kind, hinv)), _pad(bytes(h))))
+            entries.append((h, itemgetter(*pullback_index(kind, _inverse(h))), _pad(bytes(h))))
         cached = _PULLBACKS[(G.table, kind)] = tuple(entries)
     return cached
+
+
+def _inverse(h) -> list[int]:
+    """The inverse of a carrier bijection given as its images."""
+    hinv = [0] * len(h)
+    for a, v in enumerate(h):
+        hinv[v] = a
+    return hinv
 
 
 def _orbit_min(obj: AlgebraObject) -> tuple[tuple, tuple[int, ...]]:
@@ -407,9 +512,7 @@ def relabel_structure(obj: AlgebraObject, perm) -> AlgebraObject:
     the image of any other object is checked."""
     h = tuple(perm)
     n = obj.group.order
-    hinv = [0] * n
-    for a, v in enumerate(h):
-        hinv[v] = a
+    hinv = _inverse(h)
     t = obj.group.table
     new_add = [[h[t[hinv[x]][hinv[y]]] for y in range(n)] for x in range(n)]
     if tuple(tuple(r) for r in new_add) == obj.group.table:
@@ -453,109 +556,3 @@ def are_isomorphic(a: AlgebraObject, b: AlgebraObject) -> bool:
     if a.kind != b.kind:
         raise InputError(f"cannot compare kinds {a.kind} and {b.kind}")
     return canonical_key(a) == canonical_key(b)
-
-
-# ---------------------------------------------------------------------------
-# raw-axiom oracles (carriers of size <= 3)
-#
-# Plain loops over every table and self-map, read against the axioms as
-# written: neither the sigma + lambda reduction nor the law engine in ops.
-
-@dataclass(frozen=True)
-class OracleResult:
-    count: int
-    keys: tuple  # sorted structure_key() of everything found
-
-
-def _require_tiny(G: FiniteGroup, what: str) -> None:
-    if G.order > ORACLE_ORDER_CAP:
-        raise CarrierTooLarge(
-            f"raw {what} oracle only runs for order <= {ORACLE_ORDER_CAP}"
-        )
-
-
-def _holds(n: int, arity: int, axiom) -> bool:
-    """Whether axiom(*xs) is true for every arity-tuple xs of elements."""
-    return all(itertools.starmap(axiom, itertools.product(range(n), repeat=arity)))
-
-
-def _associative(t) -> bool:
-    return _holds(len(t), 3, lambda a, b, c: t[a][t[b][c]] == t[t[a][b]][c])
-
-
-def _tables(n: int, law) -> list:
-    """Every n x n table (a tuple of rows) on which law holds, in
-    lexicographic order."""
-    rows = list(itertools.product(range(n), repeat=n))
-    return [t for t in itertools.product(rows, repeat=n) if law(t)]
-
-
-def _result(keys: list) -> OracleResult:
-    keys.sort()
-    return OracleResult(count=len(keys), keys=tuple(keys))
-
-
-def raw_skew_truss_search(G: FiniteGroup) -> OracleResult:
-    """Scan every circ table for associativity, then every sigma map for
-    left skew sigma-distributivity a o (b + c) = a o b - sigma(a) + a o c."""
-    _require_tiny(G, "skew truss")
-    n, add, inv = G.order, G.table, G.inverse
-    return _result([
-        (sigma, sum(circ, ()))
-        for circ in _tables(n, _associative)
-        for sigma in itertools.product(range(n), repeat=n)
-        if _holds(n, 3, lambda a, b, c: circ[a][add[b][c]]
-                  == add[add[circ[a][b]][inv[sigma[a]]]][circ[a][c]])
-    ])
-
-
-def raw_weak_truss_search(G: FiniteGroup) -> OracleResult:
-    """Scan every dot table for left distributivity, then every sigma map
-    for weak sigma-associativity (sigma(a) + a.b).c = a.(b.c)."""
-    _require_tiny(G, "weak truss")
-    n, add = G.order, G.table
-
-    def distributive(t):
-        return _holds(n, 3, lambda a, b, c: t[a][add[b][c]] == add[t[a][b]][t[a][c]])
-
-    return _result([
-        (sigma, sum(dot, ()))
-        for dot in _tables(n, distributive)
-        for sigma in itertools.product(range(n), repeat=n)
-        if _holds(n, 3, lambda a, b, c: dot[add[sigma[a]][dot[a][b]]][c] == dot[a][dot[b][c]])
-    ])
-
-
-def raw_interchange_search(G: FiniteGroup, associative_only: bool = False) -> OracleResult:
-    """Scan every table against (w+x)o(y+z) = (woy)+(xoz)."""
-    _require_tiny(G, "interchange")
-    n, add = G.order, G.table
-
-    def law(t):
-        return _holds(
-            n, 4, lambda w, x, y, z: t[add[w][x]][add[y][z]] == add[t[w][y]][t[x][z]]
-        ) and (not associative_only or _associative(t))
-
-    return _result([(sum(circ, ()),) for circ in _tables(n, law)])
-
-
-def raw_constant_lambda_ditruss_search(
-    G: FiniteGroup, image_commuting_only: bool = False
-) -> OracleResult:
-    """Scan every associative circ table, then every idempotent
-    endomorphism sigma, for: derived dot = -sigma-pi1 + circ row-constant,
-    the row map an idempotent endomorphism, optionally image-commuting with
-    sigma."""
-    _require_tiny(G, "constant-lambda ditruss")
-    n, add, inv = G.order, G.table, G.inverse
-    idempotents = {e.images for e in enumerate_endomorphisms(G) if is_idempotent_map(e)}
-    keys = []
-    for circ in _tables(n, _associative):
-        for sigma in idempotents:
-            dot = tuple(tuple(add[inv[s]][x] for x in row) for s, row in zip(sigma, circ))
-            tau = dot[0]
-            if dot == (tau,) * n and tau in idempotents and (
-                not image_commuting_only or image_commuting(G, sigma, tau)
-            ):
-                keys.append((sigma, sum(circ, ()), sum(dot, ())))
-    return _result(keys)

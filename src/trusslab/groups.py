@@ -182,7 +182,10 @@ def group_from_json(data: dict, name: str | None = None, normalize: bool = True)
     order = data.get("order", n)
     if type(order) is not int or order != n:
         raise InputError(f"declared order {order!r} is not the table size {n}")
-    gname = name or str(data.get("name", "G"))
+    gname = data.get("name", "G")
+    if not isinstance(gname, str):
+        raise InputError(f"group name {gname!r} is not a string")
+    gname = name or gname
 
     ident = _find_identity(table)
     if ident is None:

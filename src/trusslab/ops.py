@@ -308,12 +308,14 @@ def _interchange(G: FiniteGroup, rows: Sequence[bytes]) -> LawReport:
     """(w+x)*(y+z) = (w*y) + (x*z).  For n·n <= 256 one == decides every
     tuple, with both sides over (w, y, x, z): the left side is the flat
     table read at _interchange_index, the right one joins, for each w*y = h,
-    the table h + t[x][z] over (x, z).  Where they differ, and for larger
-    carriers from the start, the law is scanned per w over (x, y, z): the
-    left block of x over (y, z) depends on w + x alone, and the right one
-    is row x shifted by each w*y."""
+    the table h + t[x][z] over (x, z).  Where they differ, the witness is
+    read from the first differing block of w, in (y, x, z) order: the least
+    (x, y, z) among the first differing offsets of its sub-blocks of y.
+    Larger carriers are scanned per w over (x, y, z): the left block of x
+    over (y, z) depends on w + x alone, and the right one is row x shifted
+    by each w*y."""
     k = addition_maps(G)
-    n, start = len(rows), 0
+    n = len(rows)
     if n * n <= 256:
         flat = b"".join(rows)
         sums = [flat.translate(p) for p in k.left]  # h -> h + t[x][z] over (x, z)
@@ -321,15 +323,22 @@ def _interchange(G: FiniteGroup, rows: Sequence[bytes]) -> LawReport:
         rhs = b"".join([sums[h] for h in flat])
         if lhs == rhs:
             return holds("interchange")
-        # the first failing w: comparing per-w slices costs less than
-        # _first_offset on all n**4 bytes
-        size = n**3
-        start = next(
-            w for w in range(n) if lhs[w * size:(w + 1) * size] != rhs[w * size:(w + 1) * size]
-        )
+        # slices are compared, since _first_offset on all n**4 bytes costs more
+        size, block = n * n, n**3
+        w = next(w for w in range(n)
+                 if lhs[w * block:(w + 1) * block] != rhs[w * block:(w + 1) * block])
+        first = None  # (x, y, z, offset) of the least violation so far
+        for y in range(n):
+            at = (w * n + y) * size
+            if lhs[at:at + size] != rhs[at:at + size]:
+                i = _first_offset(lhs[at:at + size], rhs[at:at + size])
+                if first is None or (i // n, y) < first[:2]:
+                    first = (i // n, y, i % n, at + i)
+        x, y, z, i = first
+        return LawReport("interchange", False, (w, x, y, z), lhs[i], rhs[i])
     by_sum = [k.flat.translate(_pad(r)) for r in rows]  # s -> t[s][y + z]
     shifted = [[r.translate(p) for p in k.left] for r in rows]  # x -> h -> h + t[x][z]
-    for w in range(start, n):
+    for w in range(n):
         r = rows[w]
         lhs = b"".join([by_sum[x] for x in k.rows[w]])
         rhs = b"".join([by_h[h] for by_h in shifted for h in r])

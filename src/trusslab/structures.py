@@ -316,6 +316,17 @@ def verified_key(group: FiniteGroup, kind: str, sigma=None, circ=None, dot=None)
     return b"".join(parts + (c or []) + (d or []))
 
 
+def verify_key(group: FiniteGroup, kind: str, key: bytes) -> bytes:
+    """verified_key on the components of a structure_bytes() key."""
+    n = group.order
+    sigma, circ, dot = _key_components(kind, n, key)
+
+    def rows(flat):
+        return None if flat is None else [flat[i:i + n] for i in range(0, n * n, n)]
+
+    return verified_key(group, kind, None if sigma is None else tuple(sigma), rows(circ), rows(dot))
+
+
 def require_verified(obj: AlgebraObject, kinds: tuple[str, ...] | None = None) -> None:
     if kinds is not None and obj.kind not in kinds:
         raise InputError(f"expected kind in {kinds}, got {obj.kind}")

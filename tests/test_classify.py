@@ -1,11 +1,17 @@
-"""Classification by orbit marking, against the per-structure reference.
+"""Classification against the routes it replaced.
 
-The library sorts the structure_bytes() keys of the enumerated structures
-once, takes the first unmarked one as its class representative, and marks
-that representative's automorphic images.  The reference here is the plain
-loop it replaced: the orbit minimum of every structure, and a relabel of
-the first structure met in each new class.  Both must give the same
-totals, class counts, representatives (in order) and structure order.
+Interchange near-rings and constant-lambda ditrusses are classified by
+orbit marking: the library sorts the structure_bytes() keys of the
+enumerated structures once, takes the first unmarked one as its class
+representative, and marks that representative's automorphic images.  The
+reference here is the plain loop it replaced: the orbit minimum of every
+structure, and a relabel of the first structure met in each new class.
+Both must give the same totals, class counts, representatives (in order)
+and structure order.
+
+Skew and weak trusses are classified isomorph-free, from one first search
+pair per automorphism orbit.  Their reference is the unrestricted joint
+search with every leaf verified, then orbit marking.
 """
 
 import random
@@ -19,7 +25,15 @@ from trusslab import (
     enumerate_skew_trusses,
     enumerate_weak_trusses,
 )
-from trusslab.enumeration import _classify, _orbit_min, canonical_key, relabel_structure
+from trusslab.enumeration import (
+    _classify,
+    _joint_search,
+    _orbit_min,
+    canonical_key,
+    relabel_structure,
+)
+from trusslab.groups import enumerate_endomorphisms
+from trusslab.structures import verified_key
 from trusslab.errors import TrussLabError
 from trusslab.ops import binop
 
@@ -112,3 +126,67 @@ def test_enumerated_tables_equal_validated_tables(group, kind):
         for op in (obj.circ, obj.dot):
             if op is not None:
                 assert op == binop(op.carrier, op.table)
+
+
+# ---------------------------------------------------------------------------
+# isomorph-free search against the full search
+
+SEARCH_CASES = [
+    (g, "skew-truss") for g in ("Z1", "Z2", "Z3", "Z4", "V4", "Z5", "Z6", "S3", "Z7")
+] + [(g, "weak-truss") for g in ("Z1", "Z2", "Z3", "Z4", "V4", "Z5")]
+
+
+def full_search(G, kind):
+    """The classification before the search was made isomorph-free: every
+    leaf of the unrestricted joint search verified, then orbit marking."""
+    n, skew = G.order, kind == "skew-truss"
+    keys = [
+        verified_key(G, kind, sigma, **({"circ": circ} if skew else {"dot": dot}))
+        for sigma, _digits, dot, circ in _joint_search(
+            G, enumerate_endomorphisms(G), [range(n)] * n, skew
+        )
+    ]
+    stats = {"sigma_fixes_zero_count": sum(key[0] == 0 for key in keys)} if skew else {}
+    return _classify(G, kind, keys, stats)
+
+
+@pytest.mark.parametrize("group, kind", SEARCH_CASES, ids=[f"{g}-{k}" for g, k in SEARCH_CASES])
+def test_isomorph_free_search_matches_full_search(group, kind):
+    G = builtin_group(group)
+    result = ENUMERATORS[kind](G, cap=7)
+    expected = full_search(G, kind)
+    assert [o.structure_bytes() for o in result.representatives] == [
+        o.structure_bytes() for o in expected.representatives
+    ]
+    assert result.keys == expected.keys
+    assert result.total_count == expected.total_count
+    if kind == "skew-truss":
+        assert (
+            result.search_stats["sigma_fixes_zero_count"]
+            == expected.search_stats["sigma_fixes_zero_count"]
+        )
+    # one leaf kept per class, each visited once
+    counters = result.counters
+    assert counters["leaves_kept"] == result.iso_class_count
+    assert counters["leaves_visited"] <= result.total_count
+    assert counters["first_pairs_searched"] <= counters["first_pairs"]
+
+
+@pytest.mark.parametrize(
+    "name, total, classes", [("Z6", 246900, 124036), ("S3", 339654, 57309)],
+    ids=["Z6-weak", "S3-weak"],
+)
+def test_order_six_weak_truss_classification(name, total, classes):
+    # the totals pinned on the full search, counted by orbit-stabilizer
+    result = enumerate_weak_trusses(builtin_group(name), cap=6)
+    assert (result.total_count, result.iso_class_count) == (total, classes)
+
+
+def test_listing_checks_the_orbit_count():
+    # the listing is the union of the representatives' orbits; a total that
+    # disagrees with it raises instead of listing a different set
+    G = builtin_group("V4")
+    result = enumerate_skew_trusses(G)
+    result.total_count -= 1
+    with pytest.raises(TrussLabError, match="orbits on V4 hold 618 structures, not 617"):
+        result.keys

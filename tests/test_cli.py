@@ -269,6 +269,29 @@ def test_enumerate_output_is_deterministic(capsys):
     assert "seconds" not in payload["search_stats"]
 
 
+@pytest.mark.parametrize(
+    "group, kind, summary",
+    [
+        ("V4", "skew-truss", "618 structures, 126 up to isomorphism; first pairs searched "
+                             "16 of 64, leaves visited 345, kept 126, |Aut G| = 6"),
+        ("Z5", "skew-truss", "622 structures, 164 up to isomorphism; first pairs searched "
+                             "10 of 25, leaves visited 448, kept 164, |Aut G| = 4"),
+        ("V4", "weak-truss", "3996 structures, 717 up to isomorphism; first pairs searched "
+                             "16 of 64, leaves visited 1448, kept 717, |Aut G| = 6"),
+        ("V4", "interchange-nr", "256 structures, 56 up to isomorphism"),
+    ],
+)
+def test_enumerate_summary_counts_the_search(capsys, group, kind, summary):
+    # the counters go to stderr alone, the same with and without a listing
+    for listing in ([], ["--up-to-iso"]):
+        code, out, err = run(
+            capsys, "enumerate", "--group", group, "--kind", kind, "--cap", "5", *listing
+        )
+        assert code == 0
+        assert err == f"{group}/{kind}: {summary}\n"
+        assert "first_pairs" not in out
+
+
 def test_enumerate_full_listing(capsys):
     code, payload, _ = run_json(
         capsys, "enumerate", "--group", "Z2", "--kind", "weak-truss"

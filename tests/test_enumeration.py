@@ -264,7 +264,9 @@ def test_every_emitted_object_verifies():
 @pytest.mark.parametrize("name", ["V4", "Z4"])
 def test_every_emitted_structure_checked_once(name, monkeypatch):
     # one law check and one check_map of sigma per structure, and none for
-    # the objects built afterwards (representatives and the full list)
+    # the objects built afterwards; skew and weak trusses check their
+    # representatives during the search and every other structure when the
+    # full list is first asked for
     import trusslab.ops
     import trusslab.structures
 
