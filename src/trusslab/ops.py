@@ -327,13 +327,15 @@ def _interchange(G: FiniteGroup, rows: Sequence[bytes]) -> LawReport:
         size, block = n * n, n**3
         w = next(w for w in range(n)
                  if lhs[w * block:(w + 1) * block] != rhs[w * block:(w + 1) * block])
-        first = None  # (x, y, z, offset) of the least violation so far
+        first, end = None, size  # the least violation so far; a later y must beat its x
         for y in range(n):
             at = (w * n + y) * size
-            if lhs[at:at + size] != rhs[at:at + size]:
-                i = _first_offset(lhs[at:at + size], rhs[at:at + size])
-                if first is None or (i // n, y) < first[:2]:
-                    first = (i // n, y, i % n, at + i)
+            left, right = lhs[at:at + end], rhs[at:at + end]
+            if left != right:
+                i = _first_offset(left, right)
+                first, end = (i // n, y, i % n, at + i), i // n * n
+                if not end:
+                    break
         x, y, z, i = first
         return LawReport("interchange", False, (w, x, y, z), lhs[i], rhs[i])
     by_sum = [k.flat.translate(_pad(r)) for r in rows]  # s -> t[s][y + z]
