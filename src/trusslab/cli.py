@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 from . import enumeration, oracles, substructure, transforms
 from .catalog import builtin_names, resolve_group
@@ -36,71 +36,23 @@ EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 
 
-_INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
-
-
-def _write(value, pad: str, out: list) -> None:
-    """Append the JSON text of value, nested at indentation pad, to out."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append("NaN" if value != value else _INFINITIES.get(value) or float.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        if set(map(type, value)) == {int}:
-            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{pad}]")
-            return
-        out.append("[")
-        for i, item in enumerate(value):
-            out.append("," + inner if i else inner)
-            _write(item, inner, out)
-        out.append(pad + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        out.append("{")
-        for i, (key, item) in enumerate(sorted(value.items())):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(f"{',' if i else ''}{inner}{encode_basestring_ascii(key)}: ")
-            _write(item, inner, out)
-        out.append(pad + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def json_text(value) -> str:
-    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
-    values built from dicts with str keys, lists, tuples, str, int, float,
-    bool and None.  A list of ints is written in one join."""
-    out: list = []
-    _write(value, "\n", out)
-    return "".join(out)
-
-
 def _emit(payload: dict, output: str | None) -> None:
-    text = json_text(payload) + "\n"
+    _emit_chunks([json.dumps(payload, indent=2, sort_keys=True)], output)
+
+
+def _emit_chunks(chunks: Iterable[str], output: str | None) -> None:
+    """Write the pieces of a JSON text, then a newline, to the file output
+    or to stdout."""
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
+                fh.write("\n")
         except OSError as exc:
             raise InputError(f"cannot write {output}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
 
 
 def _note(message: str) -> None:
@@ -187,8 +139,7 @@ def cmd_enumerate(args) -> int:
         result = enumeration.enumerate_constant_lambda_ditrusses(group)
     else:
         result = enumeration.enumerate_interchange(group)
-    payload = result.to_json(up_to_iso=args.up_to_iso)
-    _emit(payload, args.output)
+    _emit_chunks(result.json_chunks(up_to_iso=args.up_to_iso), args.output)
     summary = (
         f"{group.name}/{kind}: {result.total_count} structures, "
         f"{result.iso_class_count} up to isomorphism"

@@ -27,7 +27,7 @@ h lam_0 h^-1).  The search starts from the least pair of each orbit only,
 and keeps a leaf only if no automorphism fixing that pair maps its key to a
 smaller one: that is one leaf per isomorphism class.  The least image of a
 kept leaf over Aut(G) is the class representative, and it passes
-verified_key; the class has |Aut G| / |Stab| members.  The keys of every
+verify_key; the class has |Aut G| / |Stab| members.  The keys of every
 structure are the union of the representatives' orbits, built and
 verified only when a listing asks for them.  Interchange near-rings and
 constant-lambda ditrusses are built from pairs of endomorphisms, every one
@@ -38,9 +38,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import Iterator
 
 from .errors import CarrierTooLarge, GroupMismatch, InputError, TrussLabError
 from .groups import (
@@ -71,7 +73,7 @@ from .structures import (
     make_algebra,
     pullback_index,
     split_key,
-    verified_key,
+    structure_texts,
     verify,
     verify_key,
 )
@@ -83,23 +85,28 @@ CANDIDATE_BUDGET = 50_000_000
 
 @dataclass
 class ClassificationResult:
-    """Every structure of a kind on a group up to isomorphism: one verified
-    object per class, the least of its class in structure_bytes() key
-    order, in key order, and the number of structures.  The sorted keys of
-    every structure, and their objects, are built when first asked for.
-    counters describe the search for the stderr summary; they are not part
-    of the payload."""
+    """Every structure of a kind on a group up to isomorphism: the verified
+    structure_bytes() key of one structure per class, the least of its
+    class, in key order, and the number of structures.  The sorted keys of
+    every structure, and the objects of any keys, are built when first
+    asked for.  counters describe the search for the stderr summary; they
+    are not part of the payload."""
 
     group: FiniteGroup
     kind: str
-    representatives: list[AlgebraObject]
+    representative_keys: list[bytes]
     total_count: int
     search_stats: dict
     counters: dict = field(default_factory=dict)
 
     @property
     def iso_class_count(self) -> int:
-        return len(self.representatives)
+        return len(self.representative_keys)
+
+    @functools.cached_property
+    def representatives(self) -> list[AlgebraObject]:
+        """The representatives as verified objects, in key order."""
+        return [algebra_from_key(self.group, self.kind, key) for key in self.representative_keys]
 
     @functools.cached_property
     def keys(self) -> list[bytes]:
@@ -107,7 +114,7 @@ class ClassificationResult:
         the union of the representatives' orbits under Aut(G), every key
         but the representatives' own checked by verify_key.  _classify,
         which holds every key already, sets this itself."""
-        reps = {o.structure_bytes() for o in self.representatives}
+        reps = set(self.representative_keys)
         pullbacks = _pullbacks(self.group, self.kind)
         found = set(reps)
         for key in reps:
@@ -127,27 +134,44 @@ class ClassificationResult:
     def structures(self) -> list[AlgebraObject]:
         """Every structure as a verified object, in key order; the
         representatives appear as themselves."""
-        reps = {o.structure_bytes(): o for o in self.representatives}
+        reps = dict(zip(self.representative_keys, self.representatives))
         return [
             reps[key] if key in reps else algebra_from_key(self.group, self.kind, key)
             for key in self.keys
         ]
 
-    def to_json(self, up_to_iso: bool = False) -> dict:
-        from .structures import structure_to_json
-
+    def json_chunks(self, up_to_iso: bool = False) -> Iterator[str]:
+        """The text of json.dumps(payload, indent=2, sort_keys=True) for
+        the enumerate payload, in pieces, written from the keys alone: the
+        counts, search_stats without its seconds, the representatives and,
+        without up_to_iso, every structure.  Everything that can raise (the
+        listing's keys) runs before the first piece is returned."""
         stats = {k: v for k, v in self.search_stats.items() if k != "seconds"}
-        out = {
+        fields = {
             "group": self.group.name,
             "kind": self.kind,
             "total_count": self.total_count,
             "iso_class_count": self.iso_class_count,
-            "representatives": [structure_to_json(o) for o in self.representatives],
+            "representatives": self.representative_keys,
             "search_stats": stats,
         }
         if not up_to_iso:
-            out["structures"] = [structure_to_json(o) for o in self.structures]
-        return out
+            fields["structures"] = self.keys
+        return self._chunks(fields)
+
+    def _chunks(self, fields: dict) -> Iterator[str]:
+        for i, (name, value) in enumerate(sorted(fields.items())):
+            yield f'{"," if i else "{"}\n  {json.dumps(name)}: '
+            if name in ("representatives", "structures") and value:
+                texts = structure_texts(self.group, self.kind, value, "\n    ")
+                for j, text in enumerate(texts):
+                    yield f'{"," if j else "["}\n    {text}'
+                yield "\n  ]"
+            else:
+                # json.dumps escapes the newlines inside strings, so every
+                # newline it writes starts a line and takes the indentation
+                yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        yield "\n}"
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +278,7 @@ def enumerate_skew_trusses(
     with sigma(a) = a + u are associative and skew distributive with a
     non-idempotent sigma whenever u != 0); it only follows when sigma fixes
     0, so pruning by it would lose structures.  Every representative, and
-    every structure of a listing, passes verified_key."""
+    every structure of a listing, passes verify_key."""
     return _classify_search(G, SKEW_TRUSS, cap, budget)
 
 
@@ -267,7 +291,7 @@ def enumerate_weak_trusses(
     and left weakly sigma-associative, classified isomorph-free (see the
     module docstring).  sigma carries no idempotency constraint here.
     Every representative, and every structure of a listing, passes
-    verified_key."""
+    verify_key."""
     return _classify_search(G, WEAK_TRUSS, cap, budget)
 
 
@@ -340,8 +364,7 @@ def _classify_search(G: FiniteGroup, kind: str, cap: int, budget: int) -> Classi
         "leaves_kept": len(reps),
         "automorphisms": automorphism_count,
     }
-    representatives = [algebra_from_key(G, kind, key) for key in reps]
-    return ClassificationResult(G, kind, representatives, total, stats, counters)
+    return ClassificationResult(G, kind, reps, total, stats, counters)
 
 
 def _sum_of_projections(G: FiniteGroup, left, right) -> list[bytes]:
@@ -373,7 +396,7 @@ def enumerate_interchange(
             ):
                 continue
             circ = _sum_of_projections(G, eps.images, eta.images)
-            keys.append(verified_key(G, INTERCHANGE, circ=circ))
+            keys.append(verify_key(G, INTERCHANGE, b"".join(circ)))
             if associative_only and not is_associative(
                 BinOpTable(G, tuple(map(tuple, circ)))
             ).holds:
@@ -411,8 +434,8 @@ def enumerate_constant_lambda_ditrusses(
             if image_commuting_only and image & ~centralizer:
                 continue
             circ = _sum_of_projections(G, sig.images, tau.images)
-            dot = (tau.images,) * G.order
-            keys.append(verified_key(G, DITRUSS, sig.images, circ=circ, dot=dot))
+            key = bytes(sig.images) + b"".join(circ) + bytes(tau.images) * G.order
+            keys.append(verify_key(G, DITRUSS, key))
     stats = {"candidates": len(endos) ** 2, "seconds": time.perf_counter() - start}
     return _classify(G, DITRUSS, keys, stats)
 
@@ -425,8 +448,7 @@ def _classify(G, kind, keys, stats) -> ClassificationResult:
     order that is not yet marked is the least of its orbit: its structure
     is the class representative as it stands.  Its image keys are then
     marked, so each class costs one walk over Aut(G).  An image key missing
-    from the set would make that first key a false minimum, so it raises.
-    Objects are built for the representatives alone."""
+    from the set would make that first key a false minimum, so it raises."""
     keys = sorted(keys)
     position = {key: i for i, key in enumerate(keys)}
     marked = bytearray(len(keys))
@@ -435,7 +457,7 @@ def _classify(G, kind, keys, stats) -> ClassificationResult:
     for i, key in enumerate(keys):
         if marked[i]:
             continue
-        reps.append(algebra_from_key(G, kind, key))
+        reps.append(key)
         for _h, pull, push in pullbacks:
             j = position.get(bytes(pull(key)).translate(push))
             if j is None:

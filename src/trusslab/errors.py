@@ -37,7 +37,7 @@ class NoIdentityAtZero(GroupValidationError):
     pass
 
 
-class CarrierMismatch(TrussLabError):
+class CarrierMismatch(InputError):
     """Operands live on different carrier groups."""
 
 
@@ -45,7 +45,7 @@ class GroupMismatch(TrussLabError):
     """Structures compared across distinct carrier groups."""
 
 
-class MissingComponent(TrussLabError):
+class MissingComponent(InputError):
     """An algebra object lacks a component its kind requires."""
 
 

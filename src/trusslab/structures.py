@@ -17,8 +17,10 @@ first and never re-derives the axioms silently.
 
 from __future__ import annotations
 
+import functools
+import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import catalog
 from .errors import (
@@ -161,7 +163,7 @@ def pullback_index(kind: str, hinv: Sequence[int]) -> list[int]:
 
 
 def algebra_from_key(group: FiniteGroup, kind: str, key: bytes) -> AlgebraObject:
-    """The object of a key that verified_key returned, marked verified."""
+    """The object of a key that verify_key passed, marked verified."""
     n = group.order
     sigma, circ, dot = _key_components(kind, n, key)
 
@@ -302,29 +304,20 @@ def verify(obj: AlgebraObject) -> AlgebraObject:
     return obj
 
 
-def verified_key(group: FiniteGroup, kind: str, sigma=None, circ=None, dot=None) -> bytes:
-    """The structure_bytes() key of the structure with these components,
-    once the axioms check() runs hold on it; raises VerificationFailed as
-    verify does otherwise.  For tables the library built itself: sigma
-    passes check_map, the rows (sequences of carrier labels) are taken as
-    they are, and no object is built."""
-    s = None if sigma is None else check_map(group, sigma, "sigma")
-    c = None if circ is None else list(map(bytes, circ))
-    d = None if dot is None else list(map(bytes, dot))
-    _raise_on_failure(kind, _law_reports(group, kind, s, c, d))
-    parts = [] if s is None else [bytes(s)]
-    return b"".join(parts + (c or []) + (d or []))
-
-
 def verify_key(group: FiniteGroup, kind: str, key: bytes) -> bytes:
-    """verified_key on the components of a structure_bytes() key."""
+    """Run the axioms check() runs for kind on a structure_bytes() key and
+    return the key; raises VerificationFailed as verify does otherwise.
+    For keys the library built itself: sigma passes check_map, the table
+    rows are taken as they are, and no object is built."""
     n = group.order
     sigma, circ, dot = _key_components(kind, n, key)
 
     def rows(flat):
         return None if flat is None else [flat[i:i + n] for i in range(0, n * n, n)]
 
-    return verified_key(group, kind, None if sigma is None else tuple(sigma), rows(circ), rows(dot))
+    s = None if sigma is None else check_map(group, tuple(sigma), "sigma")
+    _raise_on_failure(kind, _law_reports(group, kind, s, rows(circ), rows(dot)))
+    return key
 
 
 def require_verified(obj: AlgebraObject, kinds: tuple[str, ...] | None = None) -> None:
@@ -609,3 +602,35 @@ def structure_to_json(obj: AlgebraObject, inline_group: bool = False) -> dict:
     if obj.dot is not None:
         out["dot"] = [list(r) for r in obj.dot.table]
     return out
+
+
+def structure_texts(
+    group: FiniteGroup, kind: str, keys: Iterable[bytes], pad: str
+) -> Iterator[str]:
+    """For each structure_bytes() key of kind on group, the text that
+    json.dumps(structure_to_json(obj), indent=2, sort_keys=True) gives for
+    its object, without building the object.  pad is the newline and the
+    indentation before the closing brace: "\n" at the top level, deeper
+    where the object sits inside a payload."""
+    n = group.order
+    i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
+    named = f'"group": {json.dumps(group.name)},{i1}"kind": {json.dumps(kind)}'
+
+    def ints(values, inner, outer):
+        return f"[{inner}{(',' + inner).join(map(str, values))}{outer}]"
+
+    @functools.cache  # a table repeats few distinct rows
+    def row(values):
+        return ints(values, i3, i2)
+
+    def table(label, flat):
+        rows = map(row, (flat[i:i + n] for i in range(0, n * n, n)))
+        return f'"{label}": [{i2}{("," + i2).join(rows)}{i1}]'
+
+    for key in keys:
+        sigma, circ, dot = _key_components(kind, n, key)
+        fields = [table(label, op) for label, op in (("circ", circ), ("dot", dot)) if op]
+        fields.append(named)
+        if sigma is not None:
+            fields.append(f'"sigma": {ints(sigma, i2, i1)}')
+        yield f"{{{i1}{(',' + i1).join(fields)}{pad}}}"

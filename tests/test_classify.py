@@ -35,7 +35,7 @@ from trusslab.enumeration import (
 from trusslab.errors import TrussLabError
 from trusslab.groups import enumerate_endomorphisms
 from trusslab.ops import binop
-from trusslab.structures import verified_key
+from trusslab.structures import verify_key
 
 ENUMERATORS = {
     "skew-truss": enumerate_skew_trusses,
@@ -141,7 +141,7 @@ def full_search(G, kind):
     leaf of the unrestricted joint search verified, then orbit marking."""
     n, skew = G.order, kind == "skew-truss"
     keys = [
-        verified_key(G, kind, sigma, **({"circ": circ} if skew else {"dot": dot}))
+        verify_key(G, kind, bytes(sigma) + b"".join(map(bytes, circ if skew else dot)))
         for sigma, _digits, dot, circ in _joint_search(
             G, enumerate_endomorphisms(G), [range(n)] * n, skew
         )

@@ -6,13 +6,33 @@ change to the search, the law engine or canonical forms that alters any
 byte of the output fails here.  To inspect a mismatch, run the same
 command and diff its stdout against a checkout where the test passes.
 The `--oracle` cases pin the raw-axiom comparison the same way.
+
+`enumerate` writes its payload from the structure_bytes() keys alone: the
+tests below hold that text equal to json.dumps of the payload built from
+objects, check that no object is built on the way, and that a failure
+found while listing leaves only the error payload on the output.
 """
 
 import hashlib
+import json
+import sys
 
 import pytest
 
+import trusslab.enumeration
+import trusslab.structures
+from trusslab import builtin_group
 from trusslab.cli import main
+from trusslab.errors import VerificationFailed
+from trusslab.groups import group_from_json
+from trusslab.structures import KINDS, structure_texts, structure_to_json
+
+ENUMERATORS = {
+    "skew-truss": trusslab.enumeration.enumerate_skew_trusses,
+    "weak-truss": trusslab.enumeration.enumerate_weak_trusses,
+    "ditruss": trusslab.enumeration.enumerate_constant_lambda_ditrusses,
+    "interchange-nr": trusslab.enumeration.enumerate_interchange,
+}
 
 # (group, kind, --up-to-iso, --cap or None), digest
 CASES = [
@@ -37,6 +57,10 @@ CASES = [
     "args, digest", CASES, ids=[f"{g}-{k}{'-iso' if iso else ''}" for (g, k, iso, _), _ in CASES]
 )
 def test_enumerate_stdout_digest(capsys, args, digest):
+    assert _stdout_digest(capsys, args) == digest
+
+
+def _stdout_digest(capsys, args):
     group, kind, up_to_iso, cap = args
     argv = ["enumerate", "--group", group, "--kind", kind]
     if up_to_iso:
@@ -44,8 +68,7 @@ def test_enumerate_stdout_digest(capsys, args, digest):
     if cap is not None:
         argv += ["--cap", str(cap)]
     assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 # (group, kind), digest of `enumerate --oracle`
@@ -64,3 +87,85 @@ def test_enumerate_oracle_stdout_digest(capsys, args, digest):
     assert main(["enumerate", "--group", group, "--kind", kind, "--oracle"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_enumerate_builds_no_objects(capsys, monkeypatch):
+    # the payload is written from the keys: no object is built for it, and
+    # no object is turned into a dict
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate built an object")
+
+    originals = (trusslab.structures.algebra_from_key, trusslab.structures.structure_to_json)
+    for name, module in list(sys.modules.items()):
+        if name == "trusslab" or name.startswith("trusslab."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in originals):
+                    monkeypatch.setattr(module, attr, refuse)
+    pinned = dict(CASES)
+    for args in [("V4", "skew-truss", False, None), ("V4", "skew-truss", True, None),
+                 ("D4", "interchange", True, None)]:
+        assert _stdout_digest(capsys, args) == pinned[args]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output-file"])
+def test_listing_failure_writes_only_the_error(capsys, monkeypatch, tmp_path, to_file):
+    # a key that fails while the listing is checked raises before the first
+    # byte of the payload, so the output holds the error payload alone
+    result = trusslab.enumeration.enumerate_skew_trusses(builtin_group("V4"))
+    reps = set(result.representative_keys)
+    bad = next(key for key in result.keys if key not in reps)
+    original = trusslab.enumeration.verify_key
+
+    def failing(G, kind, key):
+        if key == bad:
+            raise VerificationFailed("planted failure")
+        return original(G, kind, key)
+
+    monkeypatch.setattr(trusslab.enumeration, "verify_key", failing)
+    argv = ["enumerate", "--group", "V4", "--kind", "skew-truss"]
+    path = tmp_path / "listing.json"
+    if to_file:
+        argv += ["--output", str(path)]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    if to_file:
+        assert out == ""
+        out = path.read_text(encoding="utf-8")
+    error = {"error": "VerificationFailed", "message": "planted failure"}
+    assert out == json.dumps(error, indent=2, sort_keys=True) + "\n"
+    assert json.loads(out) == error
+
+
+@pytest.mark.parametrize("group", ["Z1", "Z3", "V4"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_structure_texts_equal_json_dumps(group, kind):
+    result = ENUMERATORS[kind](builtin_group(group))
+    for pad in ("\n", "\n    "):
+        texts = list(structure_texts(result.group, kind, result.keys, pad))
+        assert texts == [
+            json.dumps(structure_to_json(o), indent=2, sort_keys=True).replace("\n", pad)
+            for o in result.structures
+        ]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("up_to_iso", [False, True], ids=["listing", "iso"])
+def test_inline_group_payload_equals_json_dumps(capsys, tmp_path, kind, up_to_iso):
+    # a group name the encoder escapes, written the way json.dumps writes it
+    doc = {"name": 'Z3 "é"', "order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    argv = ["enumerate", "--group", str(path), "--kind", kind]
+    assert main(argv + ["--up-to-iso"] * up_to_iso) == 0
+    result = ENUMERATORS[kind](group_from_json(doc))
+    payload = {
+        "group": doc["name"],
+        "kind": kind,
+        "total_count": result.total_count,
+        "iso_class_count": result.iso_class_count,
+        "representatives": [structure_to_json(o) for o in result.representatives],
+        "search_stats": {k: v for k, v in result.search_stats.items() if k != "seconds"},
+    }
+    if not up_to_iso:
+        payload["structures"] = [structure_to_json(o) for o in result.structures]
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -148,4 +148,4 @@ def test_malformed_documents_exit_2_without_traceback(tmp_path_factory, case):
     assert "Traceback" not in err
     assert code == 2 or code == 1 and _witnessed(out), (code, out, err)
     if code == 2:
-        assert out == "" and "error: " in err
+        assert out == "" and "input error: " in err
