@@ -20,18 +20,17 @@ associativity of circ is equivalent to
 and weak sigma-associativity of the dot table lam is equivalent to (ii)
 alone (with a o b read as sigma(a) + lam_a(b)).
 
-Skew and weak trusses are classified isomorph-free, after McKay's
-canonical augmentation (J. Algorithms 26, 1998).  An automorphism h fixes
-0, so it moves the first search pair (sigma(0), lam_0) to (h sigma(0),
-h lam_0 h^-1).  The search starts from the least pair of each orbit only,
-and keeps a leaf only if no automorphism fixing that pair maps its key to a
-smaller one: that is one leaf per isomorphism class.  The least image of a
-kept leaf over Aut(G) is the class representative, and it passes
-verify_key; the class has |Aut G| / |Stab| members.  The keys of every
-structure are the union of the representatives' orbits, built and
-verified only when a listing asks for them.  Interchange near-rings and
-constant-lambda ditrusses are built from pairs of endomorphisms, every one
-verified, and classified by marking orbits (_classify).
+Every kind is classified isomorph-free from one generator per Aut(G)-orbit,
+after McKay's canonical augmentation (J. Algorithms 26, 1998).  An
+automorphism h fixes 0, so it moves the first search pair (sigma(0), lam_0)
+of a skew or weak truss to (h sigma(0), h lam_0 h^-1), and the endomorphism
+pair (e, f) of an interchange near-ring or constant-lambda ditruss to
+(h e h^-1, h f h^-1).  Only the least pair of each orbit is kept, and a
+leaf of the search only if no automorphism fixing its first pair maps its
+key to a smaller one.  A kept structure's least image over Aut(G) is its
+class representative, which passes verify_key, and the class has
+|Aut G| / |Stab| members.  A listing is the union of the representatives'
+orbits, built and verified when first asked for.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator
@@ -55,7 +53,7 @@ from .groups import (
     is_idempotent_map,
     validate_group,
 )
-from .ops import BinOpTable, _pad, addition_maps, is_associative
+from .ops import _pad, addition_maps, is_associative
 from .oracles import (  # the oracles lived here, and callers still import them from here
     ORACLE_ORDER_CAP,
     raw_constant_lambda_ditruss_search,
@@ -112,8 +110,7 @@ class ClassificationResult:
     def keys(self) -> list[bytes]:
         """The structure_bytes() key of every structure, in sorted order:
         the union of the representatives' orbits under Aut(G), every key
-        but the representatives' own checked by verify_key.  _classify,
-        which holds every key already, sets this itself."""
+        but the representatives' own checked by verify_key."""
         reps = set(self.representative_keys)
         pullbacks = _pullbacks(self.group, self.kind)
         found = set(reps)
@@ -143,17 +140,16 @@ class ClassificationResult:
     def json_chunks(self, up_to_iso: bool = False) -> Iterator[str]:
         """The text of json.dumps(payload, indent=2, sort_keys=True) for
         the enumerate payload, in pieces, written from the keys alone: the
-        counts, search_stats without its seconds, the representatives and,
-        without up_to_iso, every structure.  Everything that can raise (the
-        listing's keys) runs before the first piece is returned."""
-        stats = {k: v for k, v in self.search_stats.items() if k != "seconds"}
+        counts, search_stats, the representatives and, without up_to_iso,
+        every structure.  Everything that can raise (the listing's keys)
+        runs before the first piece is returned."""
         fields = {
             "group": self.group.name,
             "kind": self.kind,
             "total_count": self.total_count,
             "iso_class_count": self.iso_class_count,
             "representatives": self.representative_keys,
-            "search_stats": stats,
+            "search_stats": self.search_stats,
         }
         if not up_to_iso:
             fields["structures"] = self.keys
@@ -246,21 +242,12 @@ def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: boo
     return extend(0)
 
 
-def _budget_or_raise(kind: str, G: FiniteGroup, sigma_count: int, lam_count: int,
-                     cap: int, budget: int) -> int:
-    n = G.order
-    candidates = sigma_count * lam_count
-    if n > cap:
-        if n > GUARDED_ORDER_CAP:
-            raise CarrierTooLarge(
-                f"{kind} search on order {n} exceeds the cap {cap} "
-                f"(hard guard at {GUARDED_ORDER_CAP})"
-            )
-        if candidates > budget:
-            raise CarrierTooLarge(
-                f"{kind} search on {G.name} needs {candidates} candidates, "
-                f"over the guard budget {budget}"
-            )
+def _within_budget(kind: str, G: FiniteGroup, candidates: int, budget: int) -> int:
+    if candidates > budget:
+        raise CarrierTooLarge(
+            f"{kind} search on {G.name} needs {candidates} candidates, "
+            f"over the guard budget {budget}"
+        )
     return candidates
 
 
@@ -295,83 +282,132 @@ def enumerate_weak_trusses(
     return _classify_search(G, WEAK_TRUSS, cap, budget)
 
 
-def _first_pair_orbits(G: FiniteGroup, endos, pullbacks) -> dict:
-    """The least (sigma(0), digit of lam_0) pair of each Aut(G)-orbit, in
-    increasing order, mapped to the (gather, translation) pairs of the
-    non-identity automorphisms that fix it.  h moves (s, lam) to
-    (h s, h lam h^-1)."""
-    images = [e.images for e in endos]
-    index = {f: i for i, f in enumerate(images)}
-    moves = []
-    for h, pull, push in pullbacks:
-        hinv = _inverse(h)
-        moves.append((h, [index[tuple(h[f[x]] for x in hinv)] for f in images], pull, push))
+def _least_pairs(pairs, images) -> dict:
+    """The least pair of each orbit of ``pairs``, mapped to the positions
+    of the automorphisms that fix it.  images(pair) yields the image of the
+    pair under each automorphism but the identity, in one fixed order;
+    ``pairs`` is closed under them and listed in increasing order, so the
+    first pair met of an orbit is its least.  The images of that pair are
+    marked as seen, so this costs orbits x |Aut G|."""
     seen, orbits = set(), {}
-    for pair in itertools.product(range(G.order), range(len(images))):
+    for pair in pairs:
         if pair in seen:
             continue
-        s, e = pair
-        orbits[pair] = []
-        for h, conjugate, pull, push in moves:
-            image = (h[s], conjugate[e])
+        fixing = orbits[pair] = []
+        for k, image in enumerate(images(pair)):
             seen.add(image)
             if image == pair:
-                orbits[pair].append((pull, push))
+                fixing.append(k)
     return orbits
+
+
+def _conjugation(endos, pullbacks):
+    """The function taking the index of f in endos, a list of endomorphisms
+    closed under conjugation, to the indices of h f h^-1 for every
+    automorphism h of pullbacks, in their order; each f is conjugated on
+    first use only."""
+    images = [e.images for e in endos]
+    index = {f: i for i, f in enumerate(images)}
+    automorphisms = [(h, _inverse(h)) for h, _pull, _push in pullbacks]
+
+    @functools.cache
+    def conjugates(e: int) -> list[int]:
+        f = images[e]
+        return [index[tuple(h[f[x]] for x in hinv)] for h, hinv in automorphisms]
+
+    return conjugates
+
+
+def _representative(G: FiniteGroup, kind: str, key: bytes, pullbacks) -> tuple[bytes, int]:
+    """The least image of key over Aut(G), which passes verify_key as the
+    representative of key's class, and the size |Aut G| / |Stab| of that
+    class, Stab being the automorphisms that fix key."""
+    least, fixed = key, 1
+    for _h, pull, push in pullbacks:
+        image = bytes(pull(key)).translate(push)
+        if image < least:
+            least = image
+        elif image == key:
+            fixed += 1
+    return verify_key(G, kind, least), (len(pullbacks) + 1) // fixed
 
 
 def _classify_search(G: FiniteGroup, kind: str, cap: int, budget: int) -> ClassificationResult:
     """The joint search from one first pair per Aut(G)-orbit.  A leaf whose
     key an automorphism fixing its first pair makes smaller is dropped;
-    every other leaf is the one kept for its class.  Its least image over
-    Aut(G) is the representative, and that class has |Aut G| / |Stab|
-    members.  sigma(0) = 0 is invariant under Aut(G), so it is counted per
-    class as well."""
+    every other leaf is the one kept for its class.  sigma(0) = 0 is
+    invariant under Aut(G), so it is counted per class as well.  Orders
+    above cap are refused above GUARDED_ORDER_CAP before any endomorphism
+    is tried, and below it when the n^n |End|^n candidates exceed budget."""
     n = G.order
     skew = kind == SKEW_TRUSS
+    if n > cap and n > GUARDED_ORDER_CAP:
+        raise CarrierTooLarge(
+            f"{kind} search on order {n} exceeds the cap {cap} "
+            f"(hard guard at {GUARDED_ORDER_CAP})"
+        )
     endos = enumerate_endomorphisms(G)
-    candidates = _budget_or_raise(kind, G, n ** n, len(endos) ** n, cap, budget)
-    start = time.perf_counter()
+    candidates = n ** n * len(endos) ** n
+    if n > cap:
+        _within_budget(kind, G, candidates, budget)
     pullbacks = _pullbacks(G, kind)
-    automorphism_count = len(pullbacks) + 1
-    orbits = _first_pair_orbits(G, endos, pullbacks)
+    conjugates = _conjugation(endos, pullbacks)
+    first_pairs = _least_pairs(
+        itertools.product(range(n), range(len(endos))),
+        lambda pair: zip([h[pair[0]] for h, _pull, _push in pullbacks], conjugates(pair[1])),
+    )
+    # the (gather, translation) pairs of the automorphisms fixing each first pair
+    stabilizers = {pair: [pullbacks[k][1:] for k in fixing] for pair, fixing in first_pairs.items()}
     reps, total, fixing_zero, visited = [], 0, 0, 0
-    for sigma, digits, dot, circ in _joint_search(G, endos, [range(n)] * n, skew, orbits):
+    for sigma, digits, dot, circ in _joint_search(G, endos, [range(n)] * n, skew, stabilizers):
         visited += 1
         key = bytes(sigma) + b"".join(map(bytes, circ if skew else dot))
-        if any(bytes(pull(key)).translate(push) < key for pull, push in orbits[sigma[0], digits[0]]):
+        stabilizer = stabilizers[sigma[0], digits[0]]
+        if any(bytes(pull(key)).translate(push) < key for pull, push in stabilizer):
             continue
-        least, fixed = key, 1
-        for _h, pull, push in pullbacks:
-            image = bytes(pull(key)).translate(push)
-            if image < least:
-                least = image
-            elif image == key:
-                fixed += 1
-        reps.append(verify_key(G, kind, least))
-        size = automorphism_count // fixed
+        rep, size = _representative(G, kind, key, pullbacks)
+        reps.append(rep)
         total += size
         if sigma[0] == 0:
             fixing_zero += size
     reps.sort()
-    stats = {"candidates": candidates, "seconds": time.perf_counter() - start}
+    stats = {"candidates": candidates}
     if skew:
         stats["sigma_fixes_zero_count"] = fixing_zero
     counters = {
-        "first_pairs_searched": len(orbits),
+        "first_pairs_searched": len(first_pairs),
         "first_pairs": n * len(endos),
         "leaves_visited": visited,
         "leaves_kept": len(reps),
-        "automorphisms": automorphism_count,
+        "automorphisms": len(pullbacks) + 1,
     }
     return ClassificationResult(G, kind, reps, total, stats, counters)
 
 
-def _sum_of_projections(G: FiniteGroup, left, right) -> list[bytes]:
-    """The rows of the table a o b = left(a) + right(b): row a is the
-    images of right mapped through the addition row left(a)."""
+def _classify_pairs(G: FiniteGroup, kind: str, endos, pairs, key_of) -> ClassificationResult:
+    """The structures key_of(endos[e], endos[f]) of the index pairs (e, f)
+    that ``pairs`` yields in increasing order, a set closed under
+    conjugation by Aut(G), classified from the least pair of each orbit.
+    key_of is injective and commutes with Aut(G) (a o 0 and 0 o b recover
+    the pair), so a key has its pair's stabilizer.  More than
+    CANDIDATE_BUDGET pairs of endos are refused before ``pairs`` is read."""
+    candidates = _within_budget(kind, G, len(endos) ** 2, CANDIDATE_BUDGET)
+    pullbacks = _pullbacks(G, kind)
+    conjugates = _conjugation(endos, pullbacks)
+    reps, total = [], 0
+    for e, f in _least_pairs(pairs, lambda pair: zip(*map(conjugates, pair))):
+        rep, size = _representative(G, kind, key_of(endos[e], endos[f]), pullbacks)
+        reps.append(rep)
+        total += size
+    reps.sort()
+    return ClassificationResult(G, kind, reps, total, {"candidates": candidates})
+
+
+def _sum_of_projections(G: FiniteGroup, left, right) -> bytes:
+    """The flat table a o b = left(a) + right(b): row a is the images of
+    right mapped through the addition row left(a)."""
     plus, images = addition_maps(G).left, bytes(right)
-    return [images.translate(plus[x]) for x in left]
+    return b"".join(images.translate(plus[x]) for x in left)
 
 
 def enumerate_interchange(
@@ -382,38 +418,33 @@ def enumerate_interchange(
     the commuting idempotent pairs.  On carriers of size <= 3 the count is
     cross-checked against the raw table scan."""
     endos = enumerate_endomorphisms(G)
-    start = time.perf_counter()
     images, centralizers = image_commuting_masks(G, endos)
-    keys = []
-    for eps, centralizer in zip(endos, centralizers):
-        for eta, image in zip(endos, images):
-            if image & ~centralizer:
-                continue
-            if associative_only and not (
-                is_idempotent_map(eps)
-                and is_idempotent_map(eta)
-                and compose_commute(eps, eta)
-            ):
-                continue
-            circ = _sum_of_projections(G, eps.images, eta.images)
-            keys.append(verify_key(G, INTERCHANGE, b"".join(circ)))
-            if associative_only and not is_associative(
-                BinOpTable(G, tuple(map(tuple, circ)))
-            ).holds:
+    pairs = (
+        (e, f)
+        for e, (eps, centralizer) in enumerate(zip(endos, centralizers))
+        for f, (eta, image) in enumerate(zip(endos, images))
+        if not image & ~centralizer
+        and (not associative_only or is_idempotent_map(eps) and is_idempotent_map(eta)
+             and compose_commute(eps, eta))
+    )
+    result = _classify_pairs(
+        G, INTERCHANGE, endos, pairs,
+        lambda eps, eta: _sum_of_projections(G, eps.images, eta.images),
+    )
+    if associative_only:
+        # automorphisms preserve associativity, so the representatives suffice
+        for rep in result.representatives:
+            if not is_associative(rep.circ).holds:
                 raise TrussLabError("idempotent commuting pair lost associativity")
-    stats = {
-        "candidates": len(endos) ** 2,
-        "seconds": time.perf_counter() - start,
-    }
     if G.order <= ORACLE_ORDER_CAP:
         oracle = raw_interchange_search(G, associative_only=associative_only)
-        stats["oracle_count"] = oracle.count
-        if oracle.count != len(keys):
+        result.search_stats["oracle_count"] = oracle.count
+        if oracle.count != result.total_count:
             raise TrussLabError(
                 f"interchange oracle disagrees on {G.name}: "
-                f"{oracle.count} != {len(keys)}"
+                f"{oracle.count} != {result.total_count}"
             )
-    return _classify(G, INTERCHANGE, keys, stats)
+    return result
 
 
 def enumerate_constant_lambda_ditrusses(
@@ -424,52 +455,19 @@ def enumerate_constant_lambda_ditrusses(
     cuts the family down to the one matching associative interchange
     near-rings."""
     endos = [e for e in enumerate_endomorphisms(G) if is_idempotent_map(e)]
-    start = time.perf_counter()
     images, centralizers = image_commuting_masks(G, endos)
-    keys = []
-    for sig, centralizer in zip(endos, centralizers):
-        for tau, image in zip(endos, images):
-            if not compose_commute(sig, tau):
-                continue
-            if image_commuting_only and image & ~centralizer:
-                continue
-            circ = _sum_of_projections(G, sig.images, tau.images)
-            key = bytes(sig.images) + b"".join(circ) + bytes(tau.images) * G.order
-            keys.append(verify_key(G, DITRUSS, key))
-    stats = {"candidates": len(endos) ** 2, "seconds": time.perf_counter() - start}
-    return _classify(G, DITRUSS, keys, stats)
-
-
-def _classify(G, kind, keys, stats) -> ClassificationResult:
-    """Sort the structure_bytes() keys of verified structures and mark
-    orbits.
-
-    The enumerated set is closed under Aut(G), so the first key in sorted
-    order that is not yet marked is the least of its orbit: its structure
-    is the class representative as it stands.  Its image keys are then
-    marked, so each class costs one walk over Aut(G).  An image key missing
-    from the set would make that first key a false minimum, so it raises."""
-    keys = sorted(keys)
-    position = {key: i for i, key in enumerate(keys)}
-    marked = bytearray(len(keys))
-    pullbacks = _pullbacks(G, kind)
-    reps = []
-    for i, key in enumerate(keys):
-        if marked[i]:
-            continue
-        reps.append(key)
-        for _h, pull, push in pullbacks:
-            j = position.get(bytes(pull(key)).translate(push))
-            if j is None:
-                raise TrussLabError(
-                    f"{kind} classification on {G.name} is not closed under "
-                    f"automorphisms: an image of {split_key(kind, G.order, key)} "
-                    f"was not enumerated"
-                )
-            marked[j] = 1
-    result = ClassificationResult(G, kind, reps, len(keys), stats)
-    result.keys = keys
-    return result
+    pairs = (
+        (s, t)
+        for s, (sig, centralizer) in enumerate(zip(endos, centralizers))
+        for t, (tau, image) in enumerate(zip(endos, images))
+        if compose_commute(sig, tau) and not (image_commuting_only and image & ~centralizer)
+    )
+    return _classify_pairs(
+        G, DITRUSS, endos, pairs,
+        lambda sig, tau: bytes(sig.images)
+        + _sum_of_projections(G, sig.images, tau.images)
+        + bytes(tau.images) * G.order,
+    )
 
 
 # ---------------------------------------------------------------------------

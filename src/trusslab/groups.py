@@ -23,6 +23,8 @@ from .errors import (
 )
 
 SUBGROUP_ORDER_CAP = 12
+# enumerate_endomorphisms tries n^|generators| maps: 16^4 on Z2^4, 32^5 on Z2^5
+ENDOMORPHISM_CANDIDATE_CAP = 100_000
 # the law engine (trusslab.ops) stores carrier elements as bytes
 MAX_CARRIER_ORDER = 256
 
@@ -290,12 +292,18 @@ def enumerate_endomorphisms(G: FiniteGroup) -> list[EndoMap]:
     Backtracks over generator images; each candidate extends along the
     closure tree and is then validated against the full table (the n^n scan
     is infeasible beyond n = 6, the generator route is exact at any order).
+    More than ENDOMORPHISM_CANDIDATE_CAP candidate maps are refused.
     """
     n = G.order
     t = G.table
     gens = generating_set(G)
     if not gens:  # trivial group
         return [EndoMap(images=(0,), is_endomorphism=True)]
+    if n ** len(gens) > ENDOMORPHISM_CANDIDATE_CAP:
+        raise CarrierTooLarge(
+            f"endomorphisms of {G.name} need {n ** len(gens)} candidate maps, "
+            f"over the cap {ENDOMORPHISM_CANDIDATE_CAP}"
+        )
 
     # BFS tree: every element is reached as (previous element) + (generator)
     parent: list[tuple[int, int] | None] = [None] * n

@@ -112,15 +112,6 @@ def ditruss_involution(obj: AlgebraObject) -> tuple[AlgebraObject, TransformReco
     return out, record
 
 
-_DITRUSS_HYPOTHESES = (
-    "circ-associative",
-    "lambda-constant",
-    "sigma-idempotent-endomorphism",
-    "lambda0-idempotent-endomorphism",
-    "sigma-lambda0-image-commuting",
-)
-
-
 def ditruss_to_interchange(obj: AlgebraObject) -> tuple[AlgebraObject, TransformRecord]:
     """Drop (sigma, dot), keeping circ, once the hypotheses hold: circ is
     associative, the lambda family is constant, and sigma and lambda_0 are

@@ -369,6 +369,36 @@ def test_enumerate_cap_below_one_gives_exit_2(capsys, cap, extra):
     assert "--cap must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "kind, extra",
+    [
+        ("skew-truss", []),
+        ("skew-truss", ["--cap", "32"]),
+        ("weak-truss", []),
+        ("interchange-nr", []),
+        ("ditruss", []),
+    ],
+    ids=["skew-truss", "skew-truss-cap-32", "weak-truss", "interchange-nr", "ditruss"],
+)
+def test_enumerate_refuses_order_32_before_searching(tmp_path, kind, extra):
+    # Z2^5 has 32^5 candidate endomorphisms; every kind is refused before
+    # they are tried, by the order cap or by the endomorphism cap
+    doc = {"name": "Z2^5", "order": 32, "table": [[a ^ b for b in range(32)] for a in range(32)]}
+    path = tmp_path / "z2_5.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trusslab.cli", "enumerate", "--group", str(path),
+         "--kind", kind, "--up-to-iso", *extra],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: " in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # decompose / report
 

@@ -164,7 +164,7 @@ def test_inline_group_payload_equals_json_dumps(capsys, tmp_path, kind, up_to_is
         "total_count": result.total_count,
         "iso_class_count": result.iso_class_count,
         "representatives": [structure_to_json(o) for o in result.representatives],
-        "search_stats": {k: v for k, v in result.search_stats.items() if k != "seconds"},
+        "search_stats": result.search_stats,
     }
     if not up_to_iso:
         payload["structures"] = [structure_to_json(o) for o in result.structures]

@@ -264,9 +264,9 @@ def test_every_emitted_object_verifies():
 @pytest.mark.parametrize("name", ["V4", "Z4"])
 def test_every_emitted_structure_checked_once(name, monkeypatch):
     # one law check and one check_map of sigma per structure, and none for
-    # the objects built afterwards; skew and weak trusses check their
-    # representatives during the search and every other structure when the
-    # full list is first asked for
+    # the objects built afterwards: every kind checks its representatives
+    # while it classifies and every other structure when the full list is
+    # first asked for
     import trusslab.ops
     import trusslab.structures
 
@@ -294,6 +294,8 @@ def test_every_emitted_structure_checked_once(name, monkeypatch):
     ):
         calls.update(laws=0, check_map=0)
         result = enumerate_kind(G)
+        classes = result.iso_class_count
+        assert calls == {"laws": classes, "check_map": classes * has_sigma}
         assert all(o.verified for o in result.structures)
         assert calls == {"laws": result.total_count, "check_map": result.total_count * has_sigma}
 

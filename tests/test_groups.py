@@ -25,6 +25,7 @@ from trusslab.errors import (
     NotLatinSquare,
 )
 from trusslab.groups import (
+    ENDOMORPHISM_CANDIDATE_CAP,
     EndoMap,
     compose_maps,
     image_commuting_masks,
@@ -206,6 +207,17 @@ def test_subgroup_cap():
     Z13 = validate_group([[(a + b) % 13 for b in range(13)] for a in range(13)])
     with pytest.raises(CarrierTooLarge):
         subgroups(Z13)
+
+
+def test_endomorphism_candidate_cap():
+    # Z2^4 (16^4 candidate maps) and every catalog group are allowed; Z2^5
+    # (32^5) is refused before any map is tried
+    assert 16 ** 4 <= ENDOMORPHISM_CANDIDATE_CAP < 32 ** 5
+    for name in builtin_names():
+        enumerate_endomorphisms(builtin_group(name))
+    Z2_5 = validate_group([[a ^ b for b in range(32)] for a in range(32)], name="Z2^5")
+    with pytest.raises(CarrierTooLarge, match="33554432 candidate maps"):
+        enumerate_endomorphisms(Z2_5)
 
 
 def test_carrier_bound_comes_before_the_entry_scan():
