@@ -1,8 +1,10 @@
 """Built-in group catalog: Z1..Z8, the Klein four group, S3, D4, Q8.
 
-Every table is normalized so the identity sits at index 0, then run through
-the full validator.  Groups are addressable by name (case-insensitive) so
-test fixtures and CLI invocations stay small.
+Three constructors build every table: direct products of cyclic groups
+(Z1..Z8, V4), dihedral groups (S3, D4) and a dicyclic group (Q8).  Each
+puts the identity at index 0, and each table is run through the full
+validator.  Groups are addressable by name (case-insensitive) so test
+fixtures and CLI invocations stay small.
 """
 
 from __future__ import annotations
@@ -14,78 +16,50 @@ from .errors import InputError
 from .groups import FiniteGroup, group_from_json, validate_group
 
 
-def _cyclic(n: int) -> FiniteGroup:
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return validate_group(table, name=f"Z{n}")
-
-
-def _klein_four() -> FiniteGroup:
-    # (Z2)^2 with elements packed as 2-bit values: addition is XOR
-    table = [[a ^ b for b in range(4)] for a in range(4)]
-    return validate_group(table, name="V4")
-
-
-def _perm_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
-    # composition p*q = "apply q, then p"; identity must sort first
-    perms = sorted(perms)
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = [[0] * n for _ in range(n)]
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i][j] = index[tuple(p[q[k]] for k in range(len(p)))]
-    return validate_group(table, name=name)
-
-
-def _symmetric3() -> FiniteGroup:
-    return _perm_group(list(itertools.permutations(range(3))), "S3")
-
-
-def _dihedral4() -> FiniteGroup:
-    # symmetries of the square as permutations of its 4 corners
-    rot = (1, 2, 3, 0)
-    flip = (1, 0, 3, 2)
-    elems = {tuple(range(4))}
-    frontier = [tuple(range(4))]
-    while frontier:
-        p = frontier.pop()
-        for g in (rot, flip):
-            q = tuple(g[p[k]] for k in range(4))
-            if q not in elems:
-                elems.add(q)
-                frontier.append(q)
-    assert len(elems) == 8
-    return _perm_group(sorted(elems), "D4")
-
-
-def _quaternion8() -> FiniteGroup:
-    # elements 1,-1,i,-i,j,-j,k,-k encoded as (axis, sign) with axis 0..3
-    def mul(x, y):
-        ax, sx = x
-        ay, sy = y
-        if ax == 0:
-            return (ay, sx * sy)
-        if ay == 0:
-            return (ax, sx * sy)
-        if ax == ay:
-            return (0, -sx * sy)
-        az = ({1, 2, 3} - {ax, ay}).pop()
-        # cyclic rule i*j=k, j*k=i, k*i=j; reversed order flips the sign
-        sign = 1 if (ay - ax) % 3 == 1 else -1
-        return (az, sign * sx * sy)
-
-    elems = [(a, s) for a in range(4) for s in (1, -1)]
+def _product(*orders: int) -> list[list[int]]:
+    """Z_{m1} x Z_{m2} x ..., its elements as digit tuples in lexicographic
+    order: Z_n is _product(n) and the Klein four group _product(2, 2)."""
+    elems = list(itertools.product(*map(range, orders)))
     index = {e: i for i, e in enumerate(elems)}
-    table = [[index[mul(x, y)] for y in elems] for x in elems]
-    return validate_group(table, name="Q8")
+    return [
+        [index[tuple((x + y) % m for x, y, m in zip(a, b, orders))] for b in elems]
+        for a in elems
+    ]
+
+
+def _dihedral(m: int) -> list[list[int]]:
+    """The symmetries of an m-gon as sorted permutations of its corners:
+    rotations i -> i + k and flips i -> k - i, where p*q applies q, then p.
+    The identity sorts first."""
+    perms = sorted(
+        tuple((sign * i + k) % m for i in range(m)) for sign in (1, -1) for k in range(m)
+    )
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
+
+
+def _dicyclic(m: int) -> list[list[int]]:
+    """<a, x | a^2m = 1, x^2 = a^m, x a x^-1 = a^-1>, the element
+    a^(r + s m) x^j at position (j, r, s): for m = 2 the quaternions
+    1, -1, i, -i, j, -j, k, -k with i = a and j = x."""
+    elems = [(r + s * m, j) for j in range(2) for r in range(m) for s in range(2)]
+    index = {e: i for i, e in enumerate(elems)}
+
+    def mul(u, v):
+        (e, j), (f, k) = u, v
+        # x a^f = a^-f x, and x^2 = a^m
+        e = e + (-f if j else f) + (m if j and k else 0)
+        return index[e % (2 * m), (j + k) % 2]
+
+    return [[mul(u, v) for v in elems] for u in elems]
 
 
 _BUILDERS = {
-    **{f"Z{n}": functools.partial(_cyclic, n) for n in range(1, 9)},
-    "V4": _klein_four,
-    "S3": _symmetric3,
-    "D4": _dihedral4,
-    "Q8": _quaternion8,
+    **{f"Z{n}": functools.partial(_product, n) for n in range(1, 9)},
+    "V4": functools.partial(_product, 2, 2),
+    "S3": functools.partial(_dihedral, 3),
+    "D4": functools.partial(_dihedral, 4),
+    "Q8": functools.partial(_dicyclic, 2),
 }
 
 _ALIASES = {"K4": "V4", "KLEIN4": "V4", "KLEIN-FOUR": "V4", "KLEINFOUR": "V4"}
@@ -101,7 +75,7 @@ def builtin_group(name: str) -> FiniteGroup:
     key = _ALIASES.get(key, key)
     if key not in _BUILDERS:
         raise InputError(f"unknown group {name!r}; built-ins: {', '.join(builtin_names())}")
-    return _BUILDERS[key]()
+    return validate_group(_BUILDERS[key](), name=key)
 
 
 def resolve_group(spec) -> FiniteGroup:

@@ -15,6 +15,7 @@ from typing import Iterable
 from . import enumeration, oracles, substructure, transforms
 from .catalog import builtin_names, resolve_group
 from .errors import GroupValidationError, InputError, SemanticError, TrussLabError
+from .groups import SUBGROUP_ORDER_CAP
 from .structures import (
     DITRUSS,
     SKEW_TRUSS,
@@ -232,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             f"Built-in groups: {', '.join(builtin_names())}. "
-            "Congruence/subgroup scans are capped at order 12."
+            f"Subgroup scans are capped at order {SUBGROUP_ORDER_CAP}, "
+            f"congruence scans at order {substructure.CONGRUENCE_ORDER_CAP}."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -260,7 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="raw brute-force over full tables (order <= 3) and agreement check",
     )
-    p.add_argument("--cap", type=int, help="order cap override for the full search")
+    p.add_argument(
+        "--cap",
+        type=int,
+        help=f"order cap of the skew/weak search, never below the default "
+        f"{enumeration.ORDER_CAP_DEFAULT}; interchange and ditruss ignore --cap",
+    )
     p.add_argument("--output")
     p.set_defaults(func=cmd_enumerate)
 

@@ -76,8 +76,7 @@ from .structures import (
     verify_key,
 )
 
-ORDER_CAP_DEFAULT = 4
-GUARDED_ORDER_CAP = 6
+ORDER_CAP_DEFAULT = 5
 CANDIDATE_BUDGET = 50_000_000
 
 
@@ -242,20 +241,19 @@ def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: boo
     return extend(0)
 
 
-def _within_budget(kind: str, G: FiniteGroup, candidates: int, budget: int) -> int:
-    if candidates > budget:
+def _within_budget(kind: str, G: FiniteGroup, endos) -> int:
+    """The number |End|^2 of endomorphism pairs, which every kind tabulates
+    or scans; more than CANDIDATE_BUDGET are refused."""
+    pairs = len(endos) ** 2
+    if pairs > CANDIDATE_BUDGET:
         raise CarrierTooLarge(
-            f"{kind} search on {G.name} needs {candidates} candidates, "
-            f"over the guard budget {budget}"
+            f"{kind} search on {G.name} needs {pairs} endomorphism pairs, "
+            f"over the budget {CANDIDATE_BUDGET}"
         )
-    return candidates
+    return pairs
 
 
-def enumerate_skew_trusses(
-    G: FiniteGroup,
-    cap: int = ORDER_CAP_DEFAULT,
-    budget: int = CANDIDATE_BUDGET,
-) -> ClassificationResult:
+def enumerate_skew_trusses(G: FiniteGroup, cap: int = ORDER_CAP_DEFAULT) -> ClassificationResult:
     """All skew trusses on G: pairs (circ, sigma) with circ associative and
     left skew sigma-distributive, classified isomorph-free (see the module
     docstring).
@@ -266,20 +264,16 @@ def enumerate_skew_trusses(
     non-idempotent sigma whenever u != 0); it only follows when sigma fixes
     0, so pruning by it would lose structures.  Every representative, and
     every structure of a listing, passes verify_key."""
-    return _classify_search(G, SKEW_TRUSS, cap, budget)
+    return _classify_search(G, SKEW_TRUSS, cap)
 
 
-def enumerate_weak_trusses(
-    G: FiniteGroup,
-    cap: int = ORDER_CAP_DEFAULT,
-    budget: int = CANDIDATE_BUDGET,
-) -> ClassificationResult:
+def enumerate_weak_trusses(G: FiniteGroup, cap: int = ORDER_CAP_DEFAULT) -> ClassificationResult:
     """All weak trusses on G: pairs (dot, sigma) with dot left distributive
     and left weakly sigma-associative, classified isomorph-free (see the
     module docstring).  sigma carries no idempotency constraint here.
     Every representative, and every structure of a listing, passes
     verify_key."""
-    return _classify_search(G, WEAK_TRUSS, cap, budget)
+    return _classify_search(G, WEAK_TRUSS, cap)
 
 
 def _least_pairs(pairs, images) -> dict:
@@ -332,24 +326,24 @@ def _representative(G: FiniteGroup, kind: str, key: bytes, pullbacks) -> tuple[b
     return verify_key(G, kind, least), (len(pullbacks) + 1) // fixed
 
 
-def _classify_search(G: FiniteGroup, kind: str, cap: int, budget: int) -> ClassificationResult:
+def _classify_search(G: FiniteGroup, kind: str, cap: int) -> ClassificationResult:
     """The joint search from one first pair per Aut(G)-orbit.  A leaf whose
     key an automorphism fixing its first pair makes smaller is dropped;
     every other leaf is the one kept for its class.  sigma(0) = 0 is
     invariant under Aut(G), so it is counted per class as well.  Orders
-    above cap are refused above GUARDED_ORDER_CAP before any endomorphism
-    is tried, and below it when the n^n |End|^n candidates exceed budget."""
+    above max(cap, ORDER_CAP_DEFAULT) are refused before any endomorphism
+    is searched, and more than CANDIDATE_BUDGET endomorphism pairs before
+    the search tabulates their composites."""
     n = G.order
     skew = kind == SKEW_TRUSS
-    if n > cap and n > GUARDED_ORDER_CAP:
+    limit = max(cap, ORDER_CAP_DEFAULT)
+    if n > limit:
         raise CarrierTooLarge(
-            f"{kind} search on order {n} exceeds the cap {cap} "
-            f"(hard guard at {GUARDED_ORDER_CAP})"
+            f"{kind} search on {G.name} has order {n}, over the order cap {limit}; "
+            f"--cap {n} raises it"
         )
     endos = enumerate_endomorphisms(G)
-    candidates = n ** n * len(endos) ** n
-    if n > cap:
-        _within_budget(kind, G, candidates, budget)
+    _within_budget(kind, G, endos)
     pullbacks = _pullbacks(G, kind)
     conjugates = _conjugation(endos, pullbacks)
     first_pairs = _least_pairs(
@@ -371,7 +365,7 @@ def _classify_search(G: FiniteGroup, kind: str, cap: int, budget: int) -> Classi
         if sigma[0] == 0:
             fixing_zero += size
     reps.sort()
-    stats = {"candidates": candidates}
+    stats = {"candidates": n ** n * len(endos) ** n}
     if skew:
         stats["sigma_fixes_zero_count"] = fixing_zero
     counters = {
@@ -391,7 +385,7 @@ def _classify_pairs(G: FiniteGroup, kind: str, endos, pairs, key_of) -> Classifi
     key_of is injective and commutes with Aut(G) (a o 0 and 0 o b recover
     the pair), so a key has its pair's stabilizer.  More than
     CANDIDATE_BUDGET pairs of endos are refused before ``pairs`` is read."""
-    candidates = _within_budget(kind, G, len(endos) ** 2, CANDIDATE_BUDGET)
+    candidates = _within_budget(kind, G, endos)
     pullbacks = _pullbacks(G, kind)
     conjugates = _conjugation(endos, pullbacks)
     reps, total = [], 0

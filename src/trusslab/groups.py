@@ -286,19 +286,30 @@ def image_commuting_masks(G: FiniteGroup, maps: Sequence[MapLike]) -> tuple[list
     return images, centralizers
 
 
+_ENDOMORPHISMS: dict[tuple, tuple] = {}
+
+
 def enumerate_endomorphisms(G: FiniteGroup) -> list[EndoMap]:
-    """All group endomorphisms of G, sorted lexicographically by images.
+    """All group endomorphisms of G, sorted lexicographically by images, as
+    a fresh list; the search runs once per group table.
 
     Backtracks over generator images; each candidate extends along the
     closure tree and is then validated against the full table (the n^n scan
     is infeasible beyond n = 6, the generator route is exact at any order).
     More than ENDOMORPHISM_CANDIDATE_CAP candidate maps are refused.
     """
+    cached = _ENDOMORPHISMS.get(G.table)
+    if cached is None:
+        cached = _ENDOMORPHISMS[G.table] = _search_endomorphisms(G)
+    return list(cached)
+
+
+def _search_endomorphisms(G: FiniteGroup) -> tuple[EndoMap, ...]:
     n = G.order
     t = G.table
     gens = generating_set(G)
     if not gens:  # trivial group
-        return [EndoMap(images=(0,), is_endomorphism=True)]
+        return (EndoMap(images=(0,), is_endomorphism=True),)
     if n ** len(gens) > ENDOMORPHISM_CANDIDATE_CAP:
         raise CarrierTooLarge(
             f"endomorphisms of {G.name} need {n ** len(gens)} candidate maps, "
@@ -333,7 +344,7 @@ def enumerate_endomorphisms(G: FiniteGroup) -> list[EndoMap]:
         if is_endomorphism_images(G, f):
             found.append(EndoMap(images=tuple(f), is_endomorphism=True))
     found.sort(key=lambda e: e.images)
-    return found
+    return tuple(found)
 
 
 def generating_set(G: FiniteGroup) -> list[int]:
@@ -365,12 +376,12 @@ def closure(G: FiniteGroup, elems: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(cur))
 
 
-def subgroups(G: FiniteGroup, cap: int = SUBGROUP_ORDER_CAP) -> list[tuple[int, ...]]:
-    """All subgroups, by closure growth from cyclic seeds.  Capped: the scan
-    is exhaustive only for small carriers."""
-    if G.order > cap:
+def subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """All subgroups, by closure growth from cyclic seeds.  Capped at
+    SUBGROUP_ORDER_CAP: the scan is exhaustive only for small carriers."""
+    if G.order > SUBGROUP_ORDER_CAP:
         raise CarrierTooLarge(
-            f"subgroup enumeration capped at order {cap}, got {G.order}"
+            f"subgroup enumeration capped at order {SUBGROUP_ORDER_CAP}, got {G.order}"
         )
     found = {(0,)}
     frontier = [(0,)]
@@ -392,8 +403,8 @@ def is_normal(G: FiniteGroup, H: Sequence[int]) -> bool:
     return all(G.conj(h, g) in members for h in H for g in G.elements)
 
 
-def normal_subgroups(G: FiniteGroup, cap: int = SUBGROUP_ORDER_CAP) -> list[tuple[int, ...]]:
-    return [H for H in subgroups(G, cap=cap) if is_normal(G, H)]
+def normal_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
+    return [H for H in subgroups(G) if is_normal(G, H)]
 
 
 def center(G: FiniteGroup) -> tuple[int, ...]:

@@ -70,10 +70,10 @@ def is_ideal(T: AlgebraObject, elems: Sequence[int]) -> LawReport:
     return LawReport("ideal", True)
 
 
-def ideals(T: AlgebraObject, cap: int = CONGRUENCE_ORDER_CAP) -> list[tuple[int, ...]]:
+def ideals(T: AlgebraObject) -> list[tuple[int, ...]]:
     """All ideals, by filtering the normal subgroups of the carrier."""
     require_verified(T, (SKEW_TRUSS,))
-    return [H for H in normal_subgroups(T.group, cap=cap) if is_ideal(T, H).holds]
+    return [H for H in normal_subgroups(T.group) if is_ideal(T, H).holds]
 
 
 def _partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -120,12 +120,13 @@ def _labels_to_partition(labels: Sequence[int]) -> Partition:
     return tuple(sorted(tuple(b) for b in blocks.values()))
 
 
-def congruences(T: AlgebraObject, cap: int = CONGRUENCE_ORDER_CAP) -> list[Partition]:
-    """All congruences, by direct partition search (independent of ideals)."""
+def congruences(T: AlgebraObject) -> list[Partition]:
+    """All congruences, by direct partition search (independent of ideals),
+    capped at CONGRUENCE_ORDER_CAP."""
     require_verified(T, (SKEW_TRUSS,))
     n = T.group.order
-    if n > cap:
-        raise CarrierTooLarge(f"congruence search capped at order {cap}, got {n}")
+    if n > CONGRUENCE_ORDER_CAP:
+        raise CarrierTooLarge(f"congruence search capped at order {CONGRUENCE_ORDER_CAP}, got {n}")
     found = [
         _labels_to_partition(labels)
         for labels in _partitions(n)

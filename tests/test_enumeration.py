@@ -13,6 +13,7 @@ from trusslab import (
     enumerate_interchange,
     enumerate_skew_trusses,
     enumerate_weak_trusses,
+    enumeration,
     image_commuting,
     is_idempotent_map,
     lambda_family,
@@ -470,10 +471,46 @@ def test_constant_lambda_skew_trusses_are_associative_interchange(name):
 def test_order_cap_and_guard():
     S3 = builtin_group("S3")
     with pytest.raises(CarrierTooLarge):
-        enumerate_skew_trusses(S3)  # 6^6 * 10^6 candidates: over budget at the default cap
+        enumerate_skew_trusses(S3)  # order 6: over the default order cap 5
     Z5 = builtin_group("Z5")
-    result = enumerate_skew_trusses(Z5)  # order 5 passes via the guard
+    result = enumerate_skew_trusses(Z5)  # order 5 runs at the default cap
     assert result.total_count > 0
+
+
+def _refuse_endomorphism_search(G):
+    raise AssertionError(f"the endomorphisms of {G.name} were searched")
+
+
+@pytest.mark.parametrize(
+    "name, cap",
+    list(itertools.product(("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "V4", "S3"), (1, 4, 5, 6)))
+    + [("Z7", 6), ("Z8", 6)],
+)
+def test_skew_search_runs_iff_order_within_cap(monkeypatch, name, cap):
+    # one rule, n <= max(cap, 5); a refusal comes before any endomorphism
+    # is searched
+    G = builtin_group(name)
+    limit = max(cap, 5)
+    if G.order <= limit:
+        assert enumerate_skew_trusses(G, cap=cap).total_count > 0
+        return
+    monkeypatch.setattr(enumeration, "enumerate_endomorphisms", _refuse_endomorphism_search)
+    refusal = f"order {G.order}, over the order cap {limit}; --cap"
+    with pytest.raises(CarrierTooLarge, match=refusal):
+        enumerate_skew_trusses(G, cap=cap)
+
+
+@pytest.mark.parametrize(
+    "enumerator",
+    [enumerate_skew_trusses, enumerate_weak_trusses, enumerate_interchange],
+    ids=["skew-truss", "weak-truss", "interchange"],
+)
+def test_every_kind_bounds_endomorphism_pairs(monkeypatch, enumerator):
+    # V4 has 16 endomorphisms, so 256 pairs; Z4 has 4
+    monkeypatch.setattr(enumeration, "CANDIDATE_BUDGET", 255)
+    with pytest.raises(CarrierTooLarge, match="needs 256 endomorphism pairs, over the budget 255"):
+        enumerator(builtin_group("V4"))
+    assert enumerator(builtin_group("Z4")).total_count > 0
 
 
 @pytest.mark.parametrize(

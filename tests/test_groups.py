@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -94,6 +96,14 @@ def test_builtin_catalog():
     for name in builtin_names():
         G = builtin_group(name)
         assert G.table == validate_group(G.table).table
+
+
+def test_catalog_tables_digest():
+    # one pin over every catalog table, in name order: the stdout pins and
+    # the fixtures depend on where each element sits
+    tables = json.dumps([[name, builtin_group(name).table] for name in builtin_names()])
+    digest = hashlib.sha256(tables.encode()).hexdigest()
+    assert digest == "7894edf62a6690ceb7e509f857a23bbb8f9b5415fcd957349474fcc12fef80c0"
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +228,15 @@ def test_endomorphism_candidate_cap():
     Z2_5 = validate_group([[a ^ b for b in range(32)] for a in range(32)], name="Z2^5")
     with pytest.raises(CarrierTooLarge, match="33554432 candidate maps"):
         enumerate_endomorphisms(Z2_5)
+
+
+def test_endomorphisms_searched_once_per_group(monkeypatch):
+    G = validate_group([[(a + b) % 9 for b in range(9)] for a in range(9)], name="Z9")
+    endos = enumerate_endomorphisms(G)
+    endos.clear()  # a fresh list: the cached search is untouched
+    monkeypatch.setattr("trusslab.groups._search_endomorphisms", None)
+    assert len(enumerate_endomorphisms(G)) == 9
+    assert len(automorphisms(G)) == 6
 
 
 def test_carrier_bound_comes_before_the_entry_scan():
