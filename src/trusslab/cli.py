@@ -14,10 +14,17 @@ from typing import Iterable
 
 from . import enumeration, oracles, substructure, transforms
 from .catalog import builtin_names, resolve_group
-from .errors import GroupValidationError, InputError, SemanticError, TrussLabError
+from .errors import (
+    DotNotDistributive,
+    GroupValidationError,
+    InputError,
+    SemanticError,
+    TrussLabError,
+)
 from .groups import SUBGROUP_ORDER_CAP
 from .structures import (
     DITRUSS,
+    INTERCHANGE,
     SKEW_TRUSS,
     WEAK_TRUSS,
     AlgebraObject,
@@ -89,15 +96,14 @@ def cmd_verify(args) -> int:
 
 
 def _consequences(obj: AlgebraObject) -> list[dict]:
-    out = []
     if obj.kind == SKEW_TRUSS:
-        out.append(skew_truss_consequence_report(obj).to_json())
-    elif obj.kind == DITRUSS:
-        from .ops import is_left_distributive
-
-        if is_left_distributive(obj.dot).holds:
-            out.append(ditruss_consequence_report(obj).to_json())
-    return out
+        return [skew_truss_consequence_report(obj).to_json()]
+    if obj.kind == DITRUSS:
+        try:
+            return [ditruss_consequence_report(obj).to_json()]
+        except DotNotDistributive:
+            pass
+    return []
 
 
 def cmd_convert(args) -> int:
@@ -117,29 +123,42 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
+# per kind: its enumerator, by name, and its raw-table oracle; the name is
+# looked up in the enumeration module at each call, so that a wrapper
+# installed there (bench/workloads.py traces the enumerators) is the one run
+_ENUMERATORS = {
+    SKEW_TRUSS: ("enumerate_skew_trusses", oracles.raw_skew_truss_search),
+    WEAK_TRUSS: ("enumerate_weak_trusses", oracles.raw_weak_truss_search),
+    DITRUSS: ("enumerate_constant_lambda_ditrusses", oracles.raw_constant_lambda_ditruss_search),
+    INTERCHANGE: ("enumerate_interchange", oracles.raw_interchange_search),
+}
+
+
 def cmd_enumerate(args) -> int:
     if args.cap is not None and args.cap < 1:
         raise InputError(f"--cap must be at least 1, got {args.cap}")
     group = resolve_group(_group_argument(args.group))
     kind = normalize_kind(args.kind)
+    name, raw_search = _ENUMERATORS[kind]
+    enumerate_kind = getattr(enumeration, name)
     if args.oracle:
-        payload = _oracle_payload(group, kind)
+        oracle = raw_search(group)
+        result = enumerate_kind(group)
+        param_keys = tuple(split_key(kind, group.order, key) for key in result.keys)
+        payload = {
+            "group": group.name,
+            "kind": kind,
+            "oracle_count": oracle.count,
+            "parametrized_count": result.total_count,
+            "agreement": oracle.keys == param_keys,
+        }
         _emit(payload, args.output)
-        _note(f"oracle on {group.name}/{kind}: {payload['oracle_count']} structures")
-        agreement = payload.get("agreement", True)
-        return EXIT_OK if agreement else EXIT_SEMANTIC
+        _note(f"oracle on {group.name}/{kind}: {oracle.count} structures")
+        return EXIT_OK if payload["agreement"] else EXIT_SEMANTIC
 
-    kwargs = {}
-    if args.cap is not None:
-        kwargs["cap"] = args.cap
-    if kind == SKEW_TRUSS:
-        result = enumeration.enumerate_skew_trusses(group, **kwargs)
-    elif kind == WEAK_TRUSS:
-        result = enumeration.enumerate_weak_trusses(group, **kwargs)
-    elif kind == DITRUSS:
-        result = enumeration.enumerate_constant_lambda_ditrusses(group)
-    else:
-        result = enumeration.enumerate_interchange(group)
+    # only the skew and weak searches have an order cap
+    takes_cap = args.cap is not None and kind in (SKEW_TRUSS, WEAK_TRUSS)
+    result = enumerate_kind(group, **({"cap": args.cap} if takes_cap else {}))
     _emit_chunks(result.json_chunks(up_to_iso=args.up_to_iso), args.output)
     summary = (
         f"{group.name}/{kind}: {result.total_count} structures, "
@@ -154,29 +173,6 @@ def cmd_enumerate(args) -> int:
         )
     _note(summary)
     return EXIT_OK
-
-
-def _oracle_payload(group, kind) -> dict:
-    if kind == SKEW_TRUSS:
-        oracle = oracles.raw_skew_truss_search(group)
-        result = enumeration.enumerate_skew_trusses(group)
-    elif kind == WEAK_TRUSS:
-        oracle = oracles.raw_weak_truss_search(group)
-        result = enumeration.enumerate_weak_trusses(group)
-    elif kind == DITRUSS:
-        oracle = oracles.raw_constant_lambda_ditruss_search(group)
-        result = enumeration.enumerate_constant_lambda_ditrusses(group)
-    else:
-        oracle = oracles.raw_interchange_search(group)
-        result = enumeration.enumerate_interchange(group)
-    param_keys = tuple(split_key(kind, group.order, key) for key in result.keys)
-    return {
-        "group": group.name,
-        "kind": kind,
-        "oracle_count": oracle.count,
-        "parametrized_count": result.total_count,
-        "agreement": oracle.keys == param_keys,
-    }
 
 
 def cmd_decompose(args) -> int:

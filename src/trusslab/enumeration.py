@@ -68,7 +68,6 @@ from .structures import (
     WEAK_TRUSS,
     AlgebraObject,
     algebra_from_key,
-    make_algebra,
     pullback_index,
     split_key,
     structure_texts,
@@ -114,7 +113,7 @@ class ClassificationResult:
         pullbacks = _pullbacks(self.group, self.kind)
         found = set(reps)
         for key in reps:
-            found.update(bytes(pull(key)).translate(push) for _h, pull, push in pullbacks)
+            found.update(_images(key, pullbacks))
         if len(found) != self.total_count:
             raise TrussLabError(
                 f"{self.kind} orbits on {self.group.name} hold {len(found)} "
@@ -317,8 +316,7 @@ def _representative(G: FiniteGroup, kind: str, key: bytes, pullbacks) -> tuple[b
     representative of key's class, and the size |Aut G| / |Stab| of that
     class, Stab being the automorphisms that fix key."""
     least, fixed = key, 1
-    for _h, pull, push in pullbacks:
-        image = bytes(pull(key)).translate(push)
+    for image in _images(key, pullbacks):
         if image < least:
             least = image
         elif image == key:
@@ -350,14 +348,14 @@ def _classify_search(G: FiniteGroup, kind: str, cap: int) -> ClassificationResul
         itertools.product(range(n), range(len(endos))),
         lambda pair: zip([h[pair[0]] for h, _pull, _push in pullbacks], conjugates(pair[1])),
     )
-    # the (gather, translation) pairs of the automorphisms fixing each first pair
-    stabilizers = {pair: [pullbacks[k][1:] for k in fixing] for pair, fixing in first_pairs.items()}
+    # the _pullbacks entries of the automorphisms fixing each first pair
+    stabilizers = {pair: [pullbacks[k] for k in fixing] for pair, fixing in first_pairs.items()}
     reps, total, fixing_zero, visited = [], 0, 0, 0
     for sigma, digits, dot, circ in _joint_search(G, endos, [range(n)] * n, skew, stabilizers):
         visited += 1
         key = bytes(sigma) + b"".join(map(bytes, circ if skew else dot))
         stabilizer = stabilizers[sigma[0], digits[0]]
-        if any(bytes(pull(key)).translate(push) < key for pull, push in stabilizer):
+        if any(map(key.__gt__, _images(key, stabilizer))):  # an image below key
             continue
         rep, size = _representative(G, kind, key, pullbacks)
         reps.append(rep)
@@ -491,6 +489,13 @@ def _pullbacks(G: FiniteGroup, kind: str) -> tuple:
     return cached
 
 
+def _images(key: bytes, pullbacks) -> Iterator[bytes]:
+    """The image of key under each automorphism of pullbacks, a sequence
+    of _pullbacks entries, in their order."""
+    for _h, pull, push in pullbacks:
+        yield bytes(pull(key)).translate(push)
+
+
 def _inverse(h) -> list[int]:
     """The inverse of a carrier bijection given as its images."""
     hinv = [0] * len(h)
@@ -499,69 +504,51 @@ def _inverse(h) -> list[int]:
     return hinv
 
 
-def _orbit_min(obj: AlgebraObject) -> tuple[tuple, tuple[int, ...]]:
-    """The least structure_key over the automorphism orbit of obj, and an
-    automorphism (as images) that carries obj to it; canonical_key,
-    canonical_form and are_isomorphic take one object at a time through it.
+def _orbit_min(obj: AlgebraObject) -> bytes:
+    """The least structure_bytes() key over the automorphism orbit of obj;
+    canonical_key, canonical_form and are_isomorphic take one object at a
+    time through it.
 
     Automorphisms preserve every axiom, so only obj itself is verified, and
     only if it has not been already; its images are compared as keys and
-    never rebuilt as objects."""
+    never built as objects."""
     if not obj.verified:
         verify(obj)
     key = obj.structure_bytes()
-    best, best_h = key, tuple(range(obj.order))
-    for h, pull, push in _pullbacks(obj.group, obj.kind):
-        image = bytes(pull(key)).translate(push)
-        if image < best:
-            best, best_h = image, h
-    return split_key(obj.kind, obj.order, best), best_h
+    return min([key, *_images(key, _pullbacks(obj.group, obj.kind))])
 
 
 def relabel_structure(obj: AlgebraObject, perm) -> AlgebraObject:
-    """Push the structure forward along a carrier bijection h: components
-    become h . f . h^-1.  When h is an automorphism the carrier group table
-    is unchanged and the result lives on the same group.  Transport along h
-    preserves every axiom, so the image of a verified object is verified;
-    the image of any other object is checked."""
-    h = tuple(perm)
-    n = obj.group.order
+    """Push the structure forward along a carrier bijection h: components,
+    and the group table, become h . f . h^-1.  The flat group table and the
+    structure_bytes() key are gathered as one string at pullback_index
+    along h^-1 and translated through h.  When h is an automorphism the
+    table is unchanged and the image lives on the same group; otherwise on
+    the pushed table, validated as a group.  Transport along h preserves
+    every axiom, so the image of a verified object is verified; the image
+    of any other object is checked."""
+    G, n = obj.group, obj.order
+    h = bytes(perm)
     hinv = _inverse(h)
-    t = obj.group.table
-    new_add = [[h[t[hinv[x]][hinv[y]]] for y in range(n)] for x in range(n)]
-    if tuple(tuple(r) for r in new_add) == obj.group.table:
-        group = obj.group
-    else:
-        group = validate_group(new_add, name=obj.group.name)
-
-    def push_op(op):
-        if op is None:
-            return None
-        s = op.table
-        return tuple(
-            tuple(h[s[hinv[x]][hinv[y]]] for y in range(n)) for x in range(n)
-        )
-
-    sigma = None
-    if obj.sigma is not None:
-        sigma = tuple(h[obj.sigma[hinv[x]]] for x in range(n))
-    image = make_algebra(
-        group, obj.kind, sigma=sigma, circ=push_op(obj.circ), dot=push_op(obj.dot)
-    )
-    if not obj.verified:
-        return verify(image)
-    image.verified = True
-    return image
+    # the group table is laid out as the key of an interchange near-ring
+    index = pullback_index(INTERCHANGE, hinv) + [n * n + i for i in pullback_index(obj.kind, hinv)]
+    table = b"".join(map(bytes, G.table))
+    moved = bytes(itemgetter(*index)(table + obj.structure_bytes())).translate(_pad(h))
+    if moved[:n * n] != table:
+        rows = [tuple(moved[i:i + n]) for i in range(0, n * n, n)]
+        G = validate_group(rows, name=G.name)
+    image = algebra_from_key(G, obj.kind, moved[n * n:])
+    return image if obj.verified else verify(image)
 
 
 def canonical_key(obj: AlgebraObject) -> tuple:
     """Lexicographically least serialization over the automorphism orbit."""
-    return (obj.kind,) + _orbit_min(obj)[0]
+    return (obj.kind,) + split_key(obj.kind, obj.order, _orbit_min(obj))
 
 
 def canonical_form(obj: AlgebraObject) -> AlgebraObject:
     """The verified object whose serialization is canonical_key(obj)."""
-    return relabel_structure(obj, _orbit_min(obj)[1])
+    return algebra_from_key(obj.group, obj.kind, _orbit_min(obj))
 
 
 def are_isomorphic(a: AlgebraObject, b: AlgebraObject) -> bool:

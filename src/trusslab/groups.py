@@ -20,6 +20,7 @@ from .errors import (
     NotEndomorphism,
     NotIdempotent,
     NotLatinSquare,
+    TrussLabError,
 )
 
 SUBGROUP_ORDER_CAP = 12
@@ -432,7 +433,8 @@ def decomposition_from_idempotent(G: FiniteGroup, e: MapLike) -> Decomposition:
     # sanity: unique factorization g = k + i with k in kernel, i in image
     t = G.table
     factored = {t[k][i] for k in kernel_part for i in image_part}
-    assert len(factored) == len(kernel_part) * len(image_part) == G.order
+    if not len(factored) == len(kernel_part) * len(image_part) == G.order:
+        raise TrussLabError(f"kernel + image of an idempotent does not factor {G.name}")
     direct = all(t[k][i] == t[i][k] for k in kernel_part for i in image_part)
     return Decomposition(
         image_part=image_part,

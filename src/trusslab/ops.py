@@ -416,21 +416,21 @@ def depends_only_on_second(f: BinOpTable) -> bool:
 # ---------------------------------------------------------------------------
 # JSON forms
 
-def binop_from_json(data: dict, resolver=None) -> BinOpTable:
+def binop_from_json(data: dict) -> BinOpTable:
     """Parse ``{"group": <name or inline group>, "table": [[int]]}``."""
     from .catalog import resolve_group
 
     if not isinstance(data, dict) or "group" not in data or "table" not in data:
         raise InputError("operation JSON requires 'group' and 'table' fields")
-    G = (resolver or resolve_group)(data["group"])
+    G = resolve_group(data["group"])
     return binop(G, data["table"])
 
 
-def unary_map_from_json(data: dict, resolver=None) -> tuple[int, ...]:
+def unary_map_from_json(data: dict) -> tuple[int, ...]:
     """Parse ``{"group": <name or inline group>, "images": [int]}``."""
     from .catalog import resolve_group
 
     if not isinstance(data, dict) or "group" not in data or "images" not in data:
         raise InputError("unary map JSON requires 'group' and 'images' fields")
-    G = (resolver or resolve_group)(data["group"])
+    G = resolve_group(data["group"])
     return check_map(G, data["images"])

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import catalog
 from .errors import (
@@ -38,6 +38,7 @@ from .groups import (
     MapLike,
     compose_commute,
     compose_maps,
+    group_from_json,
     images_of,
     is_endomorphism_images,
     is_idempotent_map,
@@ -566,23 +567,19 @@ def build_conjugation_ditruss(G: FiniteGroup, sigma: MapLike, tau: MapLike) -> A
 # ---------------------------------------------------------------------------
 # JSON round trip
 
-def _strict_group_resolver(spec) -> FiniteGroup:
-    # inline groups must already carry the identity at 0: the structure
-    # tables share the labeling and cannot be relabeled behind their back
-    if isinstance(spec, dict):
-        from .groups import group_from_json
-
-        return group_from_json(spec, normalize=False)
-    return catalog.resolve_group(spec)
-
-
-def structure_from_json(data: dict, resolver: Callable = _strict_group_resolver) -> AlgebraObject:
+def structure_from_json(data: dict) -> AlgebraObject:
     if not isinstance(data, dict):
         raise InputError("structure JSON must be an object")
     if "kind" not in data or "group" not in data:
         raise InputError("structure JSON requires 'kind' and 'group' fields")
     kind = normalize_kind(str(data["kind"]))
-    group = resolver(data["group"])
+    spec = data["group"]
+    # inline groups must already carry the identity at 0: the structure
+    # tables share the labeling and cannot be relabeled behind their back
+    if isinstance(spec, dict):
+        group = group_from_json(spec, normalize=False)
+    else:
+        group = catalog.resolve_group(spec)
     return make_algebra(
         group,
         kind,

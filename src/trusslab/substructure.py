@@ -18,9 +18,9 @@ from .errors import (
     TrussLabError,
 )
 from .groups import (
+    decomposition_from_idempotent,
     is_endomorphism_images,
     is_idempotent_map,
-    is_normal,
     normal_subgroups,
     validate_group,
 )
@@ -160,7 +160,9 @@ def ideal_from_congruence(T: AlgebraObject, partition: Partition) -> tuple[int, 
 
 def quotient(T: AlgebraObject, I: Sequence[int]) -> AlgebraObject:
     """Quotient skew truss on the cosets of an ideal.  Well-definedness of
-    the induced operations is re-verified, never assumed."""
+    the induced operations is re-verified, never assumed: the coset
+    labelling must pass _compatible, and the induced tables are then read
+    at one representative per coset."""
     require_verified(T, (SKEW_TRUSS,))
     report = is_ideal(T, I)
     if not report.holds:
@@ -171,30 +173,16 @@ def quotient(T: AlgebraObject, I: Sequence[int]) -> AlgebraObject:
     for idx, block in enumerate(blocks):
         for a in block:
             block_of[a] = idx
-    k = len(blocks)
+    if not _compatible(T, block_of):
+        raise NotAnIdeal("induced operations not well defined on the cosets")
+    reps = [block[0] for block in blocks]
 
     def induced(table) -> list[list[int]]:
-        out = [[0] * k for _ in range(k)]
-        for X in range(k):
-            for Y in range(k):
-                vals = {block_of[table[x][y]] for x in blocks[X] for y in blocks[Y]}
-                if len(vals) != 1:
-                    raise NotAnIdeal(
-                        f"induced operation not well defined on cosets {X},{Y}"
-                    )
-                out[X][Y] = vals.pop()
-        return out
+        return [[block_of[table[x][y]] for y in reps] for x in reps]
 
-    q_add = induced(G.table)
-    q_circ = induced(T.circ.table)
-    q_sigma = []
-    for X in range(k):
-        vals = {block_of[T.sigma[x]] for x in blocks[X]}
-        if len(vals) != 1:
-            raise NotAnIdeal(f"induced unary map not well defined on coset {X}")
-        q_sigma.append(vals.pop())
-    Q = validate_group(q_add, name=f"{G.name}/I{len(I)}")
-    return verify(make_skew_truss(Q, q_circ, tuple(q_sigma)))
+    Q = validate_group(induced(G.table), name=f"{G.name}/I{len(I)}")
+    sigma = tuple(block_of[T.sigma[x]] for x in reps)
+    return verify(make_skew_truss(Q, induced(T.circ.table), sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +193,11 @@ def zero_symmetric_constant_decomposition(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """T0 = {a : 0oa = 0} and Tc = {a : 0oa = a}.
 
-    Requires sigma(0) = 0 and lambda_0 an idempotent endomorphism; then T0 is
-    normal, Tc is a subgroup, every element factors uniquely as T0 + Tc, and
-    both parts are closed under circ and sigma.  All of that is asserted."""
+    Requires sigma(0) = 0 and lambda_0 an idempotent endomorphism; then T0
+    = ker lambda_0 and Tc = im lambda_0, the factorization that
+    groups.decomposition_from_idempotent computes and checks (T0 normal, Tc
+    a subgroup, every element uniquely T0 + Tc).  Closure of both parts
+    under sigma, circ and dot is checked here."""
     require_verified(obj, (SKEW_TRUSS, DITRUSS))
     G = obj.group
     if obj.sigma[0] != 0:
@@ -216,22 +206,14 @@ def zero_symmetric_constant_decomposition(
     lam0 = tuple(c[0])
     if not (is_endomorphism_images(G, lam0) and is_idempotent_map(lam0)):
         raise PreconditionFailed("lambda_0 is not an idempotent endomorphism")
-    t0 = tuple(a for a in G.elements if c[0][a] == 0)
-    tc = tuple(a for a in G.elements if c[0][a] == a)
+    split = decomposition_from_idempotent(G, lam0)
+    t0, tc = split.kernel_part, split.image_part
 
     def fail(what: str):
         raise PreconditionFailed(f"decomposition assertion failed: {what}")
 
-    if not is_normal(G, t0):
-        fail("zero-symmetric part is not a normal subgroup")
-    tc_set = set(tc)
-    if any(G.table[x][y] not in tc_set or G.inverse[x] not in tc_set for x in tc for y in tc):
-        fail("constant part is not a subgroup")
-    factored = {G.table[kk][ii] for kk in t0 for ii in tc}
-    if len(factored) != len(t0) * len(tc) or len(factored) != G.order:
-        fail("factorization T0 + Tc is not unique and exhaustive")
-    t0_set = set(t0)
-    for part, part_set, label in ((t0, t0_set, "T0"), (tc, tc_set, "Tc")):
+    for part, label in ((t0, "T0"), (tc, "Tc")):
+        part_set = set(part)
         if any(obj.sigma[a] not in part_set for a in part):
             fail(f"{label} not closed under sigma")
         if any(c[a][b] not in part_set for a in part for b in part):

@@ -9,6 +9,7 @@ enumerated structure also asserts, once, that automorphisms preserve the
 axioms, which the library relies on instead of re-verifying each image.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -29,6 +30,8 @@ from trusslab import (
     enumerate_weak_trusses,
     make_algebra,
     make_skew_truss,
+    relabel_structure,
+    validate_group,
     verify,
 )
 from trusslab.enumeration import canonical_key
@@ -52,24 +55,29 @@ def structures(group: str, kind: str):
     return ENUMERATORS[kind](builtin_group(group)).structures
 
 
+def scalar_push(obj, h):
+    """The group table, sigma, circ and dot of obj pushed forward along the
+    carrier bijection h cell by cell: every f becomes h . f . h^-1."""
+    n = obj.order
+    hinv = [0] * n
+    for a, v in enumerate(h):
+        hinv[v] = a
+
+    def push(t):
+        if t is None:
+            return None
+        return [[h[t[hinv[x]][hinv[y]]] for y in range(n)] for x in range(n)]
+
+    sigma = None if obj.sigma is None else [h[obj.sigma[hinv[x]]] for x in range(n)]
+    circ, dot = (None if op is None else op.table for op in (obj.circ, obj.dot))
+    return push(obj.group.table), sigma, push(circ), push(dot)
+
+
 def reference_images(obj):
     """Every automorphic image of obj, rebuilt and verified."""
-    G = obj.group
-    n = G.order
-    for aut in automorphisms(G):
-        h = aut.images
-        hinv = [0] * n
-        for a, v in enumerate(h):
-            hinv[v] = a
-
-        def push(op):
-            if op is None:
-                return None
-            t = op.table
-            return [[h[t[hinv[x]][hinv[y]]] for y in range(n)] for x in range(n)]
-
-        sigma = None if obj.sigma is None else [h[obj.sigma[hinv[x]]] for x in range(n)]
-        yield verify(make_algebra(G, obj.kind, sigma=sigma, circ=push(obj.circ), dot=push(obj.dot)))
+    for aut in automorphisms(obj.group):
+        _table, sigma, circ, dot = scalar_push(obj, aut.images)
+        yield verify(make_algebra(obj.group, obj.kind, sigma=sigma, circ=circ, dot=dot))
 
 
 @pytest.mark.parametrize("group,kind", CASES)
@@ -113,6 +121,69 @@ def test_failing_input_raises_with_the_first_witness():
         with pytest.raises(VerificationFailed) as info:
             call(make_skew_truss(Z4, bad.circ, bad.sigma))
         assert info.value.report == expected
+
+
+def _non_automorphisms(G):
+    """Every bijection of the carrier that fixes 0 but is no automorphism."""
+    auts = {aut.images for aut in automorphisms(G)}
+    fixing_zero = ((0,) + rest for rest in itertools.permutations(range(1, G.order)))
+    return [h for h in fixing_zero if h not in auts]
+
+
+@lru_cache(maxsize=None)
+def _samples(group):
+    """A few representatives of every kind that classifies quickly on group."""
+    G = builtin_group(group)
+    results = [
+        enumerate_skew_trusses(G, cap=G.order),
+        enumerate_constant_lambda_ditrusses(G),
+        enumerate_interchange(G),
+    ]
+    if G.order <= 4:
+        results.append(enumerate_weak_trusses(G))
+    return [rep for result in results for rep in result.representatives[:8]]
+
+
+@pytest.mark.parametrize("group", ["Z4", "S3"])
+def test_relabel_along_a_non_automorphism(group):
+    """A bijection fixing 0 that is no automorphism moves the group table
+    as well: the image lives on the pushed group, matches the scalar push,
+    and relabelling back returns the original key on the original table."""
+    objs = _samples(group)
+    G = objs[0].group
+    for h in _non_automorphisms(G)[::7]:
+        hinv = [h.index(a) for a in range(G.order)]
+        for obj in objs:
+            image = relabel_structure(obj, h)
+            table, sigma, circ, dot = scalar_push(obj, h)
+            pushed = validate_group(table, name=G.name)
+            assert image.group.table == pushed.table != G.table
+            expected = make_algebra(pushed, obj.kind, sigma=sigma, circ=circ, dot=dot)
+            assert image.structure_key() == expected.structure_key()
+            assert image.verified and check(expected).ok
+            back = relabel_structure(image, hinv)
+            assert back.group.table == G.table
+            assert back.structure_bytes() == obj.structure_bytes()
+
+
+@pytest.mark.parametrize("group", ["Z4", "S3"])
+def test_relabel_verifies_an_unverified_valid_input(group):
+    objs = _samples(group)
+    G = objs[0].group
+    for h in [aut.images for aut in automorphisms(G)] + _non_automorphisms(G)[:3]:
+        for obj in objs:
+            fresh = make_algebra(G, obj.kind, sigma=obj.sigma, circ=obj.circ, dot=obj.dot)
+            image = relabel_structure(fresh, h)
+            assert image.verified
+            assert image.structure_key() == relabel_structure(obj, h).structure_key()
+
+
+def test_relabel_of_an_unverified_failing_input_raises():
+    Z4 = builtin_group("Z4")
+    circ = [[(a * b + 1) % 4 for b in range(4)] for a in range(4)]
+    for h in [aut.images for aut in automorphisms(Z4)] + _non_automorphisms(Z4):
+        with pytest.raises(VerificationFailed):
+            relabel_structure(make_skew_truss(Z4, circ, (0, 1, 2, 3)), h)
 
 
 def test_cli_import_leaves_numpy_unloaded():

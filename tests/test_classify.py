@@ -35,8 +35,8 @@ from trusslab.enumeration import (
     _joint_search,
     _orbit_min,
     _pullbacks,
+    canonical_form,
     canonical_key,
-    relabel_structure,
 )
 from trusslab.errors import TrussLabError
 from trusslab.groups import (
@@ -100,9 +100,9 @@ def reference_classify(structures):
     structures = sorted(structures, key=lambda o: o.structure_key())
     reps = {}
     for obj in structures:
-        key, h = _orbit_min(obj)
+        key = _orbit_min(obj)
         if key not in reps:
-            reps[key] = relabel_structure(obj, h)
+            reps[key] = canonical_form(obj)
     return (
         len(structures),
         len(reps),

@@ -1,10 +1,13 @@
-"""Generated malformed structure documents through ``trusslab verify``.
+"""Generated malformed structure documents through ``trusslab verify`` and
+the other commands that read a structure document.
 
 Every document here is malformed: a value replaced by one of the wrong type
 or out of range, a required field deleted, a list one entry too long or too
-short, or a file that is not a JSON document at all.  The command must exit
-2 with a message and no traceback; exit 1 is allowed only with a payload
-that names a failing axiom's witness.
+short, or a file that is not a JSON document at all.  verify must exit 2
+with a message and no traceback; exit 1 is allowed only with a payload
+that names a failing axiom's witness.  report, decompose and convert must
+exit 2 with an input error and nothing on stdout, or exit 1 with a payload
+that names an error or a witness, and never print a traceback.
 """
 
 import contextlib
@@ -119,16 +122,22 @@ def malformed_documents(draw):
     return json.dumps(doc).encode(), f"{how} {path}"
 
 
-def _verify(path):
+def _run(path, command=("verify",)):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", "--input", str(path)])
+        code = main([*command, "--input", str(path)])
     return code, out.getvalue(), err.getvalue()
 
 
 def _witnessed(text):
     payload = json.loads(text)
     return any("witness" in axiom for axiom in payload.get("axioms", []))
+
+
+# the other commands that read a structure document
+COMMANDS = [("report",), ("decompose",)] + [
+    ("convert", "--to", kind) for kind in ("skew-truss", "ditruss", "weak-truss", "interchange")
+]
 
 
 NUMBER_NAMED = _inline(BASES[0])
@@ -144,8 +153,25 @@ def test_malformed_documents_exit_2_without_traceback(tmp_path_factory, case):
     text, _how = case
     path = tmp_path_factory.getbasetemp() / "malformed-document.json"
     path.write_bytes(text)
-    code, out, err = _verify(path)
+    code, out, err = _run(path)
     assert "Traceback" not in err
     assert code == 2 or code == 1 and _witnessed(out), (code, out, err)
     if code == 2:
         assert out == "" and "input error: " in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_documents(), st.sampled_from(COMMANDS))
+def test_structure_commands_reject_malformed_documents(tmp_path_factory, case, command):
+    """report, decompose and convert on the same documents: exit 2 with an
+    input error and nothing on stdout, or exit 1 with a payload that names
+    an error or a failing axiom's witness; never a traceback."""
+    text, _how = case
+    path = tmp_path_factory.getbasetemp() / "malformed-document.json"
+    path.write_bytes(text)
+    code, out, err = _run(path, command)
+    assert "Traceback" not in err
+    assert code == 2 and out == "" or code == 1 and (
+        "error" in json.loads(out) or _witnessed(out)), (code, out, err)
+    if code == 2:
+        assert "input error: " in err
