@@ -84,8 +84,6 @@ def resolve_group(spec) -> FiniteGroup:
         return builtin_group(spec)
     if isinstance(spec, dict):
         return group_from_json(spec)
-    if isinstance(spec, FiniteGroup):
-        return spec
     raise InputError(f"cannot resolve a group from {type(spec).__name__}")
 
 

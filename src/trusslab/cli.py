@@ -83,15 +83,34 @@ def _load_structure(path: str) -> AlgebraObject:
 
 
 def cmd_verify(args) -> int:
+    """verify, and report: verify plus the lambda family and the sigma flags."""
     obj = _load_structure(args.input)
     result = check(obj)
+    report = args.command == "report"
     payload = result.to_json()
     payload["group"] = obj.group.name
     payload["order"] = obj.group.order
     if result.ok:
         payload["consequences"] = _consequences(obj)
+        # every kind with a sigma has a circ or a dot, so a lambda family
+        if report and obj.sigma is not None:
+            lam = lambda_family(obj)
+            payload["lambda"] = {
+                "constant": lam.constant,
+                "all_endomorphisms": lam.all_endomorphisms,
+                "maps": [list(m.images) for m in lam.maps],
+            }
+            flags = obj.sigma_flags()
+            payload["sigma_flags"] = {
+                "endomorphism": flags.endomorphism,
+                "idempotent": flags.idempotent,
+                "fixes_zero": flags.fixes_zero,
+            }
     _emit(payload, args.output)
-    _note(f"{obj.kind} on {obj.group.name}: {'PASS' if result.ok else 'FAIL'}")
+    if report:
+        _note(f"report for {obj.kind} on {obj.group.name}")
+    else:
+        _note(f"{obj.kind} on {obj.group.name}: {'PASS' if result.ok else 'FAIL'}")
     return EXIT_OK if result.ok else EXIT_SEMANTIC
 
 
@@ -137,7 +156,7 @@ _ENUMERATORS = {
 def cmd_enumerate(args) -> int:
     if args.cap is not None and args.cap < 1:
         raise InputError(f"--cap must be at least 1, got {args.cap}")
-    group = resolve_group(_group_argument(args.group))
+    group = resolve_group(_read_json(args.group) if args.group.endswith(".json") else args.group)
     kind = normalize_kind(args.kind)
     name, raw_search = _ENUMERATORS[kind]
     enumerate_kind = getattr(enumeration, name)
@@ -187,37 +206,6 @@ def cmd_decompose(args) -> int:
     _emit(payload, args.output)
     _note(f"T0 size {len(t0)}, Tc size {len(tc)}")
     return EXIT_OK
-
-
-def cmd_report(args) -> int:
-    obj = _load_structure(args.input)
-    result = check(obj)
-    payload = result.to_json()
-    payload["group"] = obj.group.name
-    payload["order"] = obj.group.order
-    if result.ok:
-        payload["consequences"] = _consequences(obj)
-        if obj.sigma is not None and (obj.circ is not None or obj.dot is not None):
-            lam = lambda_family(obj)
-            payload["lambda"] = {
-                "constant": lam.constant,
-                "all_endomorphisms": lam.all_endomorphisms,
-                "maps": [list(m.images) for m in lam.maps],
-            }
-        if obj.sigma is not None:
-            flags = obj.sigma_flags()
-            payload["sigma_flags"] = {
-                "endomorphism": flags.endomorphism,
-                "idempotent": flags.idempotent,
-                "fixes_zero": flags.fixes_zero,
-            }
-    _emit(payload, args.output)
-    _note(f"report for {obj.kind} on {obj.group.name}")
-    return EXIT_OK if result.ok else EXIT_SEMANTIC
-
-
-def _group_argument(value: str):
-    return _read_json(value) if value.endswith(".json") else value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="axioms plus derived-structure reports")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_verify)
     return parser
 
 

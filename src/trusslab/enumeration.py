@@ -50,6 +50,7 @@ from .groups import (
     compose_maps,
     enumerate_endomorphisms,
     image_commuting_masks,
+    is_element,
     is_idempotent_map,
     validate_group,
 )
@@ -526,8 +527,11 @@ def relabel_structure(obj: AlgebraObject, perm) -> AlgebraObject:
     table is unchanged and the image lives on the same group; otherwise on
     the pushed table, validated as a group.  Transport along h preserves
     every axiom, so the image of a verified object is verified; the image
-    of any other object is checked."""
+    of any other object is checked.  A perm that is not a permutation of
+    0..n-1 is refused."""
     G, n = obj.group, obj.order
+    if not (len(perm) == n and all(is_element(x, n) for x in perm) and len(set(perm)) == n):
+        raise InputError(f"perm {perm!r} is not a permutation of 0..{n - 1}")
     h = bytes(perm)
     hinv = _inverse(h)
     # the group table is laid out as the key of an interchange near-ring

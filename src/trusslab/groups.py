@@ -174,7 +174,7 @@ def validate_group(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGro
     return FiniteGroup(name=name, table=rows, inverse=tuple(inverse))
 
 
-def group_from_json(data: dict, name: str | None = None, normalize: bool = True) -> FiniteGroup:
+def group_from_json(data: dict, normalize: bool = True) -> FiniteGroup:
     """Parse ``{"name", "order", "table"}``, relabeling the identity to 0 if
     needed.  ``normalize=False`` rejects tables whose identity is elsewhere;
     required when companion tables share the labeling and cannot be moved."""
@@ -188,7 +188,6 @@ def group_from_json(data: dict, name: str | None = None, normalize: bool = True)
     gname = data.get("name", "G")
     if not isinstance(gname, str):
         raise InputError(f"group name {gname!r} is not a string")
-    gname = name or gname
 
     ident = _find_identity(table)
     if ident is None:
@@ -218,10 +217,17 @@ def is_abelian(G: FiniteGroup) -> bool:
     return all(t[a][b] == t[b][a] for a in G.elements for b in range(a))
 
 
+def preserves_binop(h, src_table, dst_table) -> bool:
+    """True iff h(a * b) = h(a) * h(b) for all a, b, with * read from
+    src_table on the left and from dst_table on the right."""
+    n = len(h)
+    return all(
+        h[src_table[a][b]] == dst_table[h[a]][h[b]] for a in range(n) for b in range(n)
+    )
+
+
 def is_endomorphism_images(G: FiniteGroup, images: Sequence[int]) -> bool:
-    t = G.table
-    f = images
-    return all(f[t[a][b]] == t[f[a]][f[b]] for a in G.elements for b in G.elements)
+    return preserves_binop(images, G.table, G.table)
 
 
 def endomorphism_of(G: FiniteGroup, m: MapLike) -> EndoMap:

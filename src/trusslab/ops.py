@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CarrierMismatch, InputError
-from .groups import EndoMap, FiniteGroup, MapLike, is_element
+from .groups import EndoMap, FiniteGroup, MapLike, _table_rows, is_element
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,6 @@ class BinOpTable:
     @property
     def order(self) -> int:
         return len(self.table)
-
-    def to_json(self) -> dict:
-        return {"group": self.carrier.name, "table": [list(r) for r in self.table]}
 
 
 @dataclass(frozen=True)
@@ -67,18 +64,13 @@ class LawReport:
 
 
 def binop(carrier: FiniteGroup, table: Sequence[Sequence[int]]) -> BinOpTable:
-    """Validate an n x n table: a list of n lists (or tuples) of n carrier
-    labels.  Nothing is coerced."""
+    """Validate an n x n table on a carrier of order n: n rows, each checked
+    by the Cayley-table rule that group tables pass too.  Nothing is
+    coerced."""
     n = carrier.order
-    if not isinstance(table, (list, tuple)) or len(table) != n or any(
-        not isinstance(row, (list, tuple)) or len(row) != n for row in table
-    ):
+    if not isinstance(table, (list, tuple)) or len(table) != n:
         raise InputError(f"operation table must be a list of {n} lists of {n} integers")
-    for a, row in enumerate(table):
-        for b, x in enumerate(row):
-            if not is_element(x, n):
-                raise InputError(f"entry table[{a}][{b}] = {x!r} is not an integer in 0..{n - 1}")
-    return BinOpTable(carrier=carrier, table=tuple(map(tuple, table)))
+    return BinOpTable(carrier=carrier, table=_table_rows(table))
 
 
 def check_map(G: FiniteGroup, m: MapLike, label: str = "unary map") -> tuple[int, ...]:
@@ -412,25 +404,3 @@ def depends_only_on_first(f: BinOpTable) -> bool:
 def depends_only_on_second(f: BinOpTable) -> bool:
     return second_factor_map(f) is not None
 
-
-# ---------------------------------------------------------------------------
-# JSON forms
-
-def binop_from_json(data: dict) -> BinOpTable:
-    """Parse ``{"group": <name or inline group>, "table": [[int]]}``."""
-    from .catalog import resolve_group
-
-    if not isinstance(data, dict) or "group" not in data or "table" not in data:
-        raise InputError("operation JSON requires 'group' and 'table' fields")
-    G = resolve_group(data["group"])
-    return binop(G, data["table"])
-
-
-def unary_map_from_json(data: dict) -> tuple[int, ...]:
-    """Parse ``{"group": <name or inline group>, "images": [int]}``."""
-    from .catalog import resolve_group
-
-    if not isinstance(data, dict) or "group" not in data or "images" not in data:
-        raise InputError("unary map JSON requires 'group' and 'images' fields")
-    G = resolve_group(data["group"])
-    return check_map(G, data["images"])

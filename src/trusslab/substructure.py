@@ -13,14 +13,14 @@ from typing import Iterator, Sequence
 from .errors import (
     CarrierTooLarge,
     NotAnIdeal,
+    NotEndomorphism,
+    NotIdempotent,
     PreconditionFailed,
     SigmaDoesNotFixZero,
     TrussLabError,
 )
 from .groups import (
     decomposition_from_idempotent,
-    is_endomorphism_images,
-    is_idempotent_map,
     normal_subgroups,
     validate_group,
 )
@@ -203,10 +203,10 @@ def zero_symmetric_constant_decomposition(
     if obj.sigma[0] != 0:
         raise SigmaDoesNotFixZero(f"sigma(0) = {obj.sigma[0]} != 0")
     c = obj.circ.table
-    lam0 = tuple(c[0])
-    if not (is_endomorphism_images(G, lam0) and is_idempotent_map(lam0)):
-        raise PreconditionFailed("lambda_0 is not an idempotent endomorphism")
-    split = decomposition_from_idempotent(G, lam0)
+    try:
+        split = decomposition_from_idempotent(G, c[0])
+    except (NotEndomorphism, NotIdempotent) as exc:
+        raise PreconditionFailed("lambda_0 is not an idempotent endomorphism") from exc
     t0, tc = split.kernel_part, split.image_part
 
     def fail(what: str):

@@ -24,6 +24,7 @@ from .groups import (
     image_commuting,
     is_endomorphism_images,
     is_idempotent_map,
+    preserves_binop,
 )
 from .ops import (
     is_associative,
@@ -209,13 +210,6 @@ def convert(obj: AlgebraObject, target_kind: str) -> tuple[AlgebraObject, Transf
 
 def carrier_bijections(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(n))
-
-
-def preserves_binop(h, src_table, dst_table) -> bool:
-    n = len(h)
-    return all(
-        h[src_table[a][b]] == dst_table[h[a]][h[b]] for a in range(n) for b in range(n)
-    )
 
 
 def is_group_morphism(h, G: FiniteGroup, H: FiniteGroup) -> bool:

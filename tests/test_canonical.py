@@ -11,6 +11,7 @@ axioms, which the library relies on instead of re-verifying each image.
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -35,7 +36,7 @@ from trusslab import (
     verify,
 )
 from trusslab.enumeration import canonical_key
-from trusslab.errors import VerificationFailed
+from trusslab.errors import InputError, NoIdentityAtZero, VerificationFailed
 
 ENUMERATORS = {
     "skew-truss": enumerate_skew_trusses,
@@ -184,6 +185,34 @@ def test_relabel_of_an_unverified_failing_input_raises():
     for h in [aut.images for aut in automorphisms(Z4)] + _non_automorphisms(Z4):
         with pytest.raises(VerificationFailed):
             relabel_structure(make_skew_truss(Z4, circ, (0, 1, 2, 3)), h)
+
+
+_Z4 = builtin_group("Z4")
+RELABEL_CASES = (
+    [(perm, InputError) for perm in [(0, 1), (0, 1, 2, 3, 4), (0, 3, 2, 1, 0), (0, 3, 2, 2),
+                                     (0, 1, 2, -1), (0, 1, 2, 300), (0, 1, 2, 3.0), [0, 2, 2, True]]]
+    + [(perm, NoIdentityAtZero) for perm in [(1, 0, 2, 3), (3, 2, 1, 0)]]
+    + [(perm, None) for perm in _non_automorphisms(_Z4) + [aut.images for aut in automorphisms(_Z4)]]
+)
+
+
+@pytest.mark.parametrize("perm, error", RELABEL_CASES, ids=[repr(perm) for perm, _ in RELABEL_CASES])
+def test_relabel_takes_only_a_permutation_of_the_carrier(perm, error):
+    """A perm that is no permutation of 0..n-1 is refused by name; a
+    bijection that moves 0 moves the identity; one that fixes 0 gives the
+    scalar push."""
+    obj = verify(make_skew_truss(_Z4, [[(a + 1 + b) % 4 for b in range(4)] for a in range(4)], (1, 2, 3, 0)))
+    if error is InputError:
+        with pytest.raises(InputError, match=re.escape(f"perm {perm!r} is not a permutation of 0..3")):
+            relabel_structure(obj, perm)
+    elif error is NoIdentityAtZero:
+        with pytest.raises(NoIdentityAtZero):
+            relabel_structure(obj, perm)
+    else:
+        table, sigma, circ, _dot = scalar_push(obj, perm)
+        image = relabel_structure(obj, perm)
+        assert image.verified and image.group.table == validate_group(table).table
+        assert image.structure_key() == make_skew_truss(image.group, circ, sigma).structure_key()
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,9 @@ import pytest
 from trusslab.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# subprocesses find the package from a bare checkout, as the tests do
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -389,6 +393,7 @@ def test_enumerate_refuses_order_32_before_searching(tmp_path, kind, extra):
     proc = subprocess.run(
         [sys.executable, "-m", "trusslab.cli", "enumerate", "--group", str(path),
          "--kind", kind, "--up-to-iso", *extra],
+        env=ENV,
         capture_output=True,
         text=True,
         timeout=60,
@@ -479,6 +484,7 @@ def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "trusslab.cli", "verify", "--input",
          str(FIXTURES / "pairing_skew_ring.json")],
+        env=ENV,
         capture_output=True,
         text=True,
     )

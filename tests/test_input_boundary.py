@@ -1,5 +1,6 @@
 """Generated malformed structure documents through ``trusslab verify`` and
-the other commands that read a structure document.
+the other commands that read a structure document, and generated malformed
+group documents through ``trusslab enumerate --group FILE``.
 
 Every document here is malformed: a value replaced by one of the wrong type
 or out of range, a required field deleted, a list one entry too long or too
@@ -8,6 +9,11 @@ with a message and no traceback; exit 1 is allowed only with a payload
 that names a failing axiom's witness.  report, decompose and convert must
 exit 2 with an input error and nothing on stdout, or exit 1 with a payload
 that names an error or a witness, and never print a traceback.
+
+A group document has its name, order or table replaced, deleted, resized
+or truncated, or is raw bytes.  Such a change can leave a valid group (a
+deleted name, an entry replaced by itself), so enumerate must exit 0 with
+a payload, or exit 2 with an input error and nothing on stdout.
 """
 
 import contextlib
@@ -175,3 +181,58 @@ def test_structure_commands_reject_malformed_documents(tmp_path_factory, case, c
         "error" in json.loads(out) or _witnessed(out)), (code, out, err)
     if code == 2:
         assert "input error: " in err
+
+
+GROUP_BASES = [builtin_group(name).to_json() for name in ("Z1", "Z2", "Z3", "Z4", "V4")]
+
+
+@st.composite
+def malformed_groups(draw):
+    """(file bytes, description) of one malformed group document."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(GROUP_BASES))))
+    n = doc["order"]
+    how = draw(st.sampled_from(["replace", "delete", "resize", "truncate", "bytes"]))
+    if how == "bytes":
+        return draw(st.binary(max_size=40)), how
+    if how == "truncate":
+        text = json.dumps(doc).encode()
+        return text[:draw(st.integers(0, len(text) - 1))], how
+    if how == "delete":
+        path = (draw(st.sampled_from(["name", "order", "table"])),)
+        del doc[path[0]]
+    elif how == "resize":
+        path = draw(st.sampled_from([p for p in _paths(doc) if isinstance(_get(doc, p), list)]))
+        target = _get(doc, path)
+        if draw(st.booleans()):
+            target.append(target[-1])
+        else:
+            target.pop()
+    else:
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = _wrong_value(path, n)
+        if path[0] == "table" and len(path) == 3:  # an in-range entry breaks an axiom
+            value |= st.integers(0, n - 1)
+        _get(doc, path[:-1])[path[-1]] = draw(value)
+    return json.dumps(doc).encode(), f"{how} {path}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_groups(), st.sampled_from(["skew-truss", "interchange"]))
+@example((b'"Z3"', "bytes"), "skew-truss")  # a JSON string names a built-in group
+def test_enumerate_rejects_malformed_group_documents(tmp_path_factory, case, kind):
+    """enumerate --group FILE: exit 0 with a payload, or exit 2 with an input
+    error and nothing on stdout; never a traceback."""
+    text, _how = case
+    path = tmp_path_factory.getbasetemp() / "malformed-group.json"
+    path.write_bytes(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["enumerate", "--group", str(path), "--kind", kind, "--up-to-iso"])
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        payload = json.loads(out)
+        assert payload["kind"] == normalize_kind(kind)
+        assert payload["iso_class_count"] == len(payload["representatives"]) > 0
+    else:
+        assert code == 2 and out == "" and "error: " in err, (code, out, err)

@@ -3,8 +3,6 @@
 import itertools
 import random
 
-import pytest
-
 from trusslab import (
     builtin_group,
     check,
@@ -30,8 +28,6 @@ from trusslab import (
     verify,
 )
 from trusslab.groups import is_endomorphism_images
-from trusslab.ops import binop_from_json, unary_map_from_json
-from trusslab.errors import InputError
 
 
 def test_lambda_constant_iff_dot_column_constant():
@@ -120,21 +116,6 @@ def test_commuting_idempotent_endos_give_associative_split():
             assert a_holds == b_holds
             if a_holds:
                 assert is_right_skew_sigma_distributive(circ, t.images).holds
-
-
-def test_operation_json_forms(Z4):
-    f = binop_from_json({"group": "Z4", "table": [[0] * 4] * 4})
-    assert f.carrier.name == "Z4"
-    g = binop_from_json(
-        {"group": {"name": "C2", "order": 2, "table": [[0, 1], [1, 0]]},
-         "table": [[0, 0], [0, 0]]}
-    )
-    assert g.order == 2
-    assert unary_map_from_json({"group": "Z4", "images": [0, 2, 0, 2]}) == (0, 2, 0, 2)
-    with pytest.raises(InputError):
-        binop_from_json({"table": [[0]]})
-    with pytest.raises(InputError):
-        unary_map_from_json({"group": "Z4", "images": [0, 9, 0, 0]})
 
 
 def test_emitted_structures_connect_to_endomorphism_rows(Z4):

@@ -248,14 +248,16 @@ def test_zero_symmetric_requires_zero_fix(Z4):
 
 
 def test_split_requires_idempotent_lambda0(Z4):
-    # ditruss whose lambda_0 row is the automorphism x -> 3x: an
-    # endomorphism but not idempotent, so the split is refused
+    # ditrusses whose every circ row is lambda_0: the automorphism x -> 3x
+    # (an endomorphism, not idempotent) and an idempotent self-map that does
+    # not preserve +; both splits are refused with one message
     from trusslab import binop, op_left_difference
     from trusslab.errors import PreconditionFailed
 
-    circ = binop(Z4, [[(3 * b) % 4 for b in range(4)] for _ in range(4)])
     sigma = (0,) * 4
-    dot = op_left_difference(circ, make_sigma_pi1(Z4, sigma))
-    obj = verify(make_ditruss(Z4, sigma, circ, dot))
-    with pytest.raises(PreconditionFailed):
-        zero_symmetric_constant_decomposition(obj)
+    for lam0 in [(0, 3, 2, 1), (0, 1, 1, 0)]:
+        circ = binop(Z4, [list(lam0) for _ in range(4)])
+        dot = op_left_difference(circ, make_sigma_pi1(Z4, sigma))
+        obj = verify(make_ditruss(Z4, sigma, circ, dot))
+        with pytest.raises(PreconditionFailed, match=r"^lambda_0 is not an idempotent endomorphism$"):
+            zero_symmetric_constant_decomposition(obj)
