@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable
 
@@ -184,13 +185,15 @@ def cmd_enumerate(args) -> int:
         f"{result.iso_class_count} up to isomorphism"
     )
     counters = result.counters
-    if counters:
+    if "first_pairs" in counters:
         summary += (
             f"; first pairs searched {counters['first_pairs_searched']} of "
             f"{counters['first_pairs']}, leaves visited {counters['leaves_visited']}, "
-            f"kept {counters['leaves_kept']}, |Aut G| = {counters['automorphisms']}"
+            f"kept {counters['leaves_kept']}"
         )
-    _note(summary)
+    else:
+        summary += f"; admissible pairs {counters['admissible_pairs']} of {counters['pairs']}"
+    _note(f"{summary}, |Aut G| = {counters['automorphisms']}")
     return EXIT_OK
 
 
@@ -279,6 +282,12 @@ def main(argv=None) -> int:
             return EXIT_SEMANTIC
     except (InputError, GroupValidationError) as exc:
         _note(f"input error: {exc}")
+        return EXIT_INPUT
+    except BrokenPipeError as exc:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so that the interpreter's last flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _note(f"input error: cannot write stdout: {exc}")
         return EXIT_INPUT
     except TrussLabError as exc:
         _note(f"error: {exc}")

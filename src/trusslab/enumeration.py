@@ -27,10 +27,12 @@ of a skew or weak truss to (h sigma(0), h lam_0 h^-1), and the endomorphism
 pair (e, f) of an interchange near-ring or constant-lambda ditruss to
 (h e h^-1, h f h^-1).  Only the least pair of each orbit is kept, and a
 leaf of the search only if no automorphism fixing its first pair maps its
-key to a smaller one.  A kept structure's least image over Aut(G) is its
-class representative, which passes verify_key, and the class has
-|Aut G| / |Stab| members.  A listing is the union of the representatives'
-orbits, built and verified when first asked for.
+key to a smaller one.  A kept leaf's least image over Aut(G) is its class
+representative.  The endomorphism pairs are listed in the order of their
+keys, so the least pair's key is already the least of its class, and no
+image of it is built.  Every representative passes verify_key, and a
+class has |Aut G| / |Stab| members.  A listing is the union of the
+representatives' orbits, built and verified when first asked for.
 """
 
 from __future__ import annotations
@@ -276,15 +278,16 @@ def enumerate_weak_trusses(G: FiniteGroup, cap: int = ORDER_CAP_DEFAULT) -> Clas
     return _classify_search(G, WEAK_TRUSS, cap)
 
 
-def _least_pairs(pairs, images) -> dict:
+def _least_pairs(pairs, images) -> tuple[dict, int]:
     """The least pair of each orbit of ``pairs``, mapped to the positions
-    of the automorphisms that fix it.  images(pair) yields the image of the
-    pair under each automorphism but the identity, in one fixed order;
-    ``pairs`` is closed under them and listed in increasing order, so the
-    first pair met of an orbit is its least.  The images of that pair are
-    marked as seen, so this costs orbits x |Aut G|."""
-    seen, orbits = set(), {}
-    for pair in pairs:
+    of the automorphisms that fix it, and the number of pairs read.
+    images(pair) yields the image of the pair under each automorphism but
+    the identity, in one fixed order; ``pairs`` is closed under them and
+    listed in key order, so the first pair met of an orbit is its least.
+    The images of that pair are marked as seen, so this costs
+    orbits x |Aut G|."""
+    seen, orbits, read = set(), {}, 0
+    for read, pair in enumerate(pairs, 1):
         if pair in seen:
             continue
         fixing = orbits[pair] = []
@@ -292,22 +295,24 @@ def _least_pairs(pairs, images) -> dict:
             seen.add(image)
             if image == pair:
                 fixing.append(k)
-    return orbits
+    return orbits, read
 
 
-def _conjugation(endos, pullbacks):
+def _conjugation(endos, auts):
     """The function taking the index of f in endos, a list of endomorphisms
     closed under conjugation, to the indices of h f h^-1 for every
-    automorphism h of pullbacks, in their order; each f is conjugated on
-    first use only."""
-    images = [e.images for e in endos]
+    automorphism h of auts, a list of non-identity automorphism images, in
+    its order; each f is conjugated on first use only.  h f h^-1 is f
+    gathered at h^-1 and translated through h; a non-identity automorphism
+    needs n >= 3, so every itemgetter here returns a tuple."""
+    images = [bytes(e.images) for e in endos]
     index = {f: i for i, f in enumerate(images)}
-    automorphisms = [(h, _inverse(h)) for h, _pull, _push in pullbacks]
+    actions = [(itemgetter(*_inverse(h)), _pad(bytes(h))) for h in auts]
 
     @functools.cache
     def conjugates(e: int) -> list[int]:
         f = images[e]
-        return [index[tuple(h[f[x]] for x in hinv)] for h, hinv in automorphisms]
+        return [index[bytes(pull(f)).translate(push)] for pull, push in actions]
 
     return conjugates
 
@@ -344,10 +349,11 @@ def _classify_search(G: FiniteGroup, kind: str, cap: int) -> ClassificationResul
     endos = enumerate_endomorphisms(G)
     _within_budget(kind, G, endos)
     pullbacks = _pullbacks(G, kind)
-    conjugates = _conjugation(endos, pullbacks)
-    first_pairs = _least_pairs(
+    auts = [h for h, _pull, _push in pullbacks]
+    conjugates = _conjugation(endos, auts)
+    first_pairs, _read = _least_pairs(
         itertools.product(range(n), range(len(endos))),
-        lambda pair: zip([h[pair[0]] for h, _pull, _push in pullbacks], conjugates(pair[1])),
+        lambda pair: zip([h[pair[0]] for h in auts], conjugates(pair[1])),
     )
     # the _pullbacks entries of the automorphisms fixing each first pair
     stabilizers = {pair: [pullbacks[k] for k in fixing] for pair, fixing in first_pairs.items()}
@@ -379,21 +385,25 @@ def _classify_search(G: FiniteGroup, kind: str, cap: int) -> ClassificationResul
 
 def _classify_pairs(G: FiniteGroup, kind: str, endos, pairs, key_of) -> ClassificationResult:
     """The structures key_of(endos[e], endos[f]) of the index pairs (e, f)
-    that ``pairs`` yields in increasing order, a set closed under
+    that ``pairs`` yields in the order of their keys, a set closed under
     conjugation by Aut(G), classified from the least pair of each orbit.
     key_of is injective and commutes with Aut(G) (a o 0 and 0 o b recover
-    the pair), so a key has its pair's stabilizer.  More than
-    CANDIDATE_BUDGET pairs of endos are refused before ``pairs`` is read."""
+    the pair), so a key has its pair's stabilizer, and the least pair's key
+    is the least key of its class: it is the representative as it stands,
+    and no image of it is built.  More than CANDIDATE_BUDGET pairs of endos
+    are refused before ``pairs`` is read."""
     candidates = _within_budget(kind, G, endos)
-    pullbacks = _pullbacks(G, kind)
-    conjugates = _conjugation(endos, pullbacks)
+    # sorted by images, so the identity comes first
+    others = [h.images for h in automorphisms(G)[1:]]
+    conjugates = _conjugation(endos, others)
+    orbits, read = _least_pairs(pairs, lambda pair: zip(*map(conjugates, pair)))
+    order = len(others) + 1
     reps, total = [], 0
-    for e, f in _least_pairs(pairs, lambda pair: zip(*map(conjugates, pair))):
-        rep, size = _representative(G, kind, key_of(endos[e], endos[f]), pullbacks)
-        reps.append(rep)
-        total += size
-    reps.sort()
-    return ClassificationResult(G, kind, reps, total, {"candidates": candidates})
+    for (e, f), fixing in orbits.items():
+        reps.append(verify_key(G, kind, key_of(endos[e], endos[f])))
+        total += order // (len(fixing) + 1)
+    counters = {"admissible_pairs": read, "pairs": candidates, "automorphisms": order}
+    return ClassificationResult(G, kind, reps, total, {"candidates": candidates}, counters)
 
 
 def _sum_of_projections(G: FiniteGroup, left, right) -> bytes:
@@ -412,10 +422,12 @@ def enumerate_interchange(
     cross-checked against the raw table scan."""
     endos = enumerate_endomorphisms(G)
     images, centralizers = image_commuting_masks(G, endos)
+    # row 0 of a table is eta and row a is fixed by eps(a), its first
+    # entry, so listing eta first lists the tables in key order
     pairs = (
         (e, f)
-        for e, (eps, centralizer) in enumerate(zip(endos, centralizers))
         for f, (eta, image) in enumerate(zip(endos, images))
+        for e, (eps, centralizer) in enumerate(zip(endos, centralizers))
         if not image & ~centralizer
         and (not associative_only or is_idempotent_map(eps) and is_idempotent_map(eta)
              and compose_commute(eps, eta))
@@ -449,6 +461,8 @@ def enumerate_constant_lambda_ditrusses(
     near-rings."""
     endos = [e for e in enumerate_endomorphisms(G) if is_idempotent_map(e)]
     images, centralizers = image_commuting_masks(G, endos)
+    # a key starts with sigma and then circ row 0, which is tau, so listing
+    # sigma first lists the keys in order
     pairs = (
         (s, t)
         for s, (sig, centralizer) in enumerate(zip(endos, centralizers))

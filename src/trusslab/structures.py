@@ -211,7 +211,10 @@ def make_algebra(
         if x is None:
             return None
         if not isinstance(x, BinOpTable):
-            x = binop(group, x)
+            try:
+                x = binop(group, x)
+            except InputError as exc:
+                raise InputError(f"{label}: {exc}") from exc
         if x.carrier.table != group.table:
             raise CarrierMismatch(f"{label} table lives on a different carrier than the group")
         return x

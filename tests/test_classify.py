@@ -17,8 +17,14 @@ joint search with every leaf verified, then _classify; the endomorphism
 pairs to every admissible pair verified, then _classify.
 """
 
+import hashlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +35,7 @@ from trusslab import (
     enumerate_interchange,
     enumerate_skew_trusses,
     enumerate_weak_trusses,
+    enumeration,
 )
 from trusslab.enumeration import (
     ClassificationResult,
@@ -38,10 +45,13 @@ from trusslab.enumeration import (
     canonical_form,
     canonical_key,
 )
+from trusslab.catalog import _product
+from trusslab.cli import main
 from trusslab.errors import TrussLabError
 from trusslab.groups import (
     compose_commute,
     enumerate_endomorphisms,
+    group_from_json,
     image_commuting,
     is_idempotent_map,
 )
@@ -229,6 +239,109 @@ def test_least_pairs_match_every_pair(group, kind):
     assert result.representative_keys == expected.representative_keys
     assert result.keys == expected.keys
     assert result.total_count == expected.total_count
+
+
+PAIR_RUNS = [
+    (enumerate_interchange, {"associative_only": flag}) for flag in (False, True)
+] + [(enumerate_constant_lambda_ditrusses, {"image_commuting_only": flag}) for flag in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "enumerate_kind, kwargs", PAIR_RUNS,
+    ids=["interchange", "interchange-associative", "ditruss", "ditruss-image-commuting"],
+)
+def test_pair_route_builds_no_orbit_images(monkeypatch, enumerate_kind, kwargs):
+    # the least pair's key is the least key of its class, so the pair route
+    # needs neither the orbit minimum nor the table of key pullbacks
+    expected = {}
+    for name in builtin_names():
+        result = enumerate_kind(builtin_group(name), **kwargs)
+        expected[name] = (result.representative_keys, result.total_count)
+
+    def refuse(*args):
+        raise AssertionError("the pair route built an image of a key")
+
+    monkeypatch.setattr(enumeration, "_pullbacks", refuse)
+    monkeypatch.setattr(enumeration, "_representative", refuse)
+    for name in builtin_names():
+        result = enumerate_kind(builtin_group(name), **kwargs)
+        assert (result.representative_keys, result.total_count) == expected[name]
+
+
+@pytest.mark.parametrize("group, kind", PAIR_CASES, ids=[f"{g}-{k}" for g, k in PAIR_CASES])
+def test_pairs_are_listed_in_key_order(monkeypatch, group, kind):
+    # the first pair met of an orbit has the least key of its class only if
+    # the keys of the pairs increase in the order the pairs are listed
+    listed = []
+    classify_pairs = enumeration._classify_pairs
+
+    def spy(G, kind, endos, pairs, key_of):
+        pairs = list(pairs)
+        listed.append([key_of(endos[e], endos[f]) for e, f in pairs])
+        return classify_pairs(G, kind, endos, pairs, key_of)
+
+    monkeypatch.setattr(enumeration, "_classify_pairs", spy)
+    result = ENUMERATORS[kind](builtin_group(group))
+    (keys,) = listed
+    assert len(keys) == result.total_count
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+Z2_CUBED = {"name": "Z2xZ2xZ2", "order": 8, "table": _product(2, 2, 2)}
+
+
+@pytest.mark.parametrize(
+    "kind, total, classes, digest",
+    [
+        ("interchange-nr", 262144, 1744,
+         "5b5ad8a80d5887ccd1ccb9f9b4565c261bf2df1d9a71f2c3cbff82d884344d50"),
+        ("ditruss", 1012, 20,
+         "dd94eb1339035f2ab008e5c93831bc5134f515b5499656b2146ffb1a1d97aec3"),
+    ],
+    ids=["interchange-nr", "ditruss"],
+)
+def test_inline_z2_cubed_classification(capsys, tmp_path, kind, total, classes, digest):
+    # the elementary abelian group of order 8, outside the catalog, with
+    # |Aut G| = 168
+    path = tmp_path / "z2-cubed.json"
+    path.write_text(json.dumps(Z2_CUBED))
+    assert main(["enumerate", "--group", str(path), "--kind", kind, "--up-to-iso"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    payload = json.loads(out)
+    assert (payload["total_count"], payload["iso_class_count"]) == (total, classes)
+    if kind == "ditruss":
+        G = group_from_json(Z2_CUBED)
+        result = enumerate_constant_lambda_ditrusses(G)
+        expected = every_pair(G, kind)
+        assert result.representative_keys == expected.representative_keys
+        assert result.total_count == expected.total_count
+
+
+@pytest.mark.slow
+def test_inline_z2_fourth_ditruss_in_bounded_memory(tmp_path):
+    # 20,160 automorphisms: a table of key pullbacks per automorphism would
+    # take ~300 MiB here, and the pair route builds none
+    doc = {"name": "Z2xZ2xZ2xZ2", "order": 16, "table": _product(2, 2, 2, 2)}
+    path = tmp_path / "z2-fourth.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "out", "wb") as out, open(tmp_path / "err", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "trusslab.cli", "enumerate", "--group", str(path),
+             "--kind", "ditruss", "--up-to-iso"],
+            env=env, stdout=out, stderr=err,
+        )
+        _pid, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    out = (tmp_path / "out").read_bytes()
+    assert hashlib.sha256(out).hexdigest() == (
+        "a5cb612236dce3d1d1e3d6616310ff5c143b3033c5c80c965aeb6412c84d0e30"
+    )
+    payload = json.loads(out)
+    assert (payload["total_count"], payload["iso_class_count"]) == (65284, 35)
+    assert usage.ru_maxrss < 100 * 1024  # KiB
 
 
 @pytest.mark.parametrize(

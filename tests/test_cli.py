@@ -282,7 +282,10 @@ def test_enumerate_output_is_deterministic(capsys):
                              "10 of 25, leaves visited 448, kept 164, |Aut G| = 4"),
         ("V4", "weak-truss", "3996 structures, 717 up to isomorphism; first pairs searched "
                              "16 of 64, leaves visited 1448, kept 717, |Aut G| = 6"),
-        ("V4", "interchange-nr", "256 structures, 56 up to isomorphism"),
+        ("V4", "interchange-nr", "256 structures, 56 up to isomorphism; admissible pairs "
+                                 "256 of 256, |Aut G| = 6"),
+        ("D4", "ditruss", "52 structures, 15 up to isomorphism; admissible pairs "
+                          "52 of 100, |Aut G| = 8"),
     ],
 )
 def test_enumerate_summary_counts_the_search(capsys, group, kind, summary):
@@ -478,6 +481,24 @@ def test_unwritable_output_gives_exit_2(capsys, tmp_path, argv, target):
     assert out == ""
     assert f"cannot write {output}" in err
     assert "Traceback" not in err
+
+
+def test_closed_stdout_gives_exit_2():
+    # the D4 listing (~780 KB) fills the pipe long before it is written, so
+    # the reader's close reaches the CLI while it writes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "trusslab.cli", "enumerate", "--group", "D4", "--kind", "interchange"],
+        env=ENV,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert "cannot write stdout" in err
 
 
 def test_console_script_entry_point():

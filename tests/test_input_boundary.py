@@ -21,6 +21,7 @@ import io
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -236,3 +237,15 @@ def test_enumerate_rejects_malformed_group_documents(tmp_path_factory, case, kin
         assert payload["iso_class_count"] == len(payload["representatives"]) > 0
     else:
         assert code == 2 and out == "" and "error: " in err, (code, out, err)
+
+
+@pytest.mark.parametrize("component", ["circ", "dot"])
+def test_bad_table_entry_names_its_table(tmp_path, component):
+    # a ditruss carries both tables; each one's error says which it is
+    doc = json.loads((FIXTURES / "split_ditruss.json").read_text())
+    doc[component][0][1] = 1.5
+    path = tmp_path / "bad-entry.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(path)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {component}: entry table[0][1] = 1.5 is not an integer in 0..3\n"
