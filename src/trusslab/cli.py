@@ -189,7 +189,7 @@ def cmd_enumerate(args) -> int:
         summary += (
             f"; first pairs searched {counters['first_pairs_searched']} of "
             f"{counters['first_pairs']}, leaves visited {counters['leaves_visited']}, "
-            f"kept {counters['leaves_kept']}"
+            f"kept {counters['leaves_kept']}, nodes {counters['nodes']}"
         )
     else:
         summary += f"; admissible pairs {counters['admissible_pairs']} of {counters['pairs']}"

@@ -56,7 +56,7 @@ from .groups import (
     is_idempotent_map,
     validate_group,
 )
-from .ops import _pad, addition_maps, is_associative
+from .ops import _pad, is_associative, sum_of_projections
 from .oracles import (  # the oracles lived here, and callers still import them from here
     ORACLE_ORDER_CAP,
     raw_constant_lambda_ditruss_search,
@@ -175,13 +175,14 @@ class ClassificationResult:
 # parametrized search
 
 def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: bool,
-                  first_pairs=None):
+                  first_pairs=None, counters=None):
     """All (sigma, lambda) pairs with sigma(a) in sigma_domains[a] and every
     lam_a in ``endomorphisms`` (the sorted list enumerate_endomorphisms(G)
     returns) that satisfy (ii), and (i) when condition_i.  Yields
     (sigma, digit-tuple, dot-rows, circ-rows), where digit a indexes lam_a.
     first_pairs, when given, holds the only (sigma(0), digit 0) pairs the
-    search starts from.
+    search starts from.  counters["nodes"], when counters is given, counts
+    the partial assignments the search accepts, root and leaves included.
 
     The search assigns the pair (sigma(k), lam_k) for k = 0, 1, ..., each
     in increasing order.  The instance (x, y) of (i) and (ii) is decided
@@ -208,8 +209,11 @@ def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: boo
     # sigma(c) and lam_c forced on c > k by the instances decided so far
     forced_sigma: list = [None] * n
     forced_digit: list = [None] * n
+    counters = {} if counters is None else counters
+    counters["nodes"] = 0
 
     def extend(k):
+        counters["nodes"] += 1
         if k == n:
             yield tuple(sigma), tuple(digits), tuple(map(endos.__getitem__, digits)), tuple(rows)
             return
@@ -357,8 +361,10 @@ def _classify_search(G: FiniteGroup, kind: str, cap: int) -> ClassificationResul
     )
     # the _pullbacks entries of the automorphisms fixing each first pair
     stabilizers = {pair: [pullbacks[k] for k in fixing] for pair, fixing in first_pairs.items()}
-    reps, total, fixing_zero, visited = [], 0, 0, 0
-    for sigma, digits, dot, circ in _joint_search(G, endos, [range(n)] * n, skew, stabilizers):
+    reps, total, fixing_zero, visited, search = [], 0, 0, 0, {}
+    for sigma, digits, dot, circ in _joint_search(
+        G, endos, [range(n)] * n, skew, stabilizers, search
+    ):
         visited += 1
         key = bytes(sigma) + b"".join(map(bytes, circ if skew else dot))
         stabilizer = stabilizers[sigma[0], digits[0]]
@@ -378,6 +384,7 @@ def _classify_search(G: FiniteGroup, kind: str, cap: int) -> ClassificationResul
         "first_pairs": n * len(endos),
         "leaves_visited": visited,
         "leaves_kept": len(reps),
+        "nodes": search["nodes"],
         "automorphisms": len(pullbacks) + 1,
     }
     return ClassificationResult(G, kind, reps, total, stats, counters)
@@ -406,13 +413,6 @@ def _classify_pairs(G: FiniteGroup, kind: str, endos, pairs, key_of) -> Classifi
     return ClassificationResult(G, kind, reps, total, {"candidates": candidates}, counters)
 
 
-def _sum_of_projections(G: FiniteGroup, left, right) -> bytes:
-    """The flat table a o b = left(a) + right(b): row a is the images of
-    right mapped through the addition row left(a)."""
-    plus, images = addition_maps(G).left, bytes(right)
-    return b"".join(images.translate(plus[x]) for x in left)
-
-
 def enumerate_interchange(
     G: FiniteGroup, associative_only: bool = False
 ) -> ClassificationResult:
@@ -434,7 +434,7 @@ def enumerate_interchange(
     )
     result = _classify_pairs(
         G, INTERCHANGE, endos, pairs,
-        lambda eps, eta: _sum_of_projections(G, eps.images, eta.images),
+        lambda eps, eta: sum_of_projections(G, eps.images, eta.images),
     )
     if associative_only:
         # automorphisms preserve associativity, so the representatives suffice
@@ -472,7 +472,7 @@ def enumerate_constant_lambda_ditrusses(
     return _classify_pairs(
         G, DITRUSS, endos, pairs,
         lambda sig, tau: bytes(sig.images)
-        + _sum_of_projections(G, sig.images, tau.images)
+        + sum_of_projections(G, sig.images, tau.images)
         + bytes(tau.images) * G.order,
     )
 

@@ -270,11 +270,8 @@ def compose_commute(f: MapLike, g: MapLike) -> bool:
 
 def image_commuting(G: FiniteGroup, f: MapLike, g: MapLike) -> bool:
     """True iff f(x) + g(y) = g(y) + f(x) for all x, y."""
-    fi, gi = images_of(f), images_of(g)
-    t = G.table
-    fvals = sorted(set(fi))
-    gvals = sorted(set(gi))
-    return all(t[x][y] == t[y][x] for x in fvals for y in gvals)
+    images, centralizers = image_commuting_masks(G, (f, g))
+    return not images[1] & ~centralizers[0]
 
 
 def image_commuting_masks(G: FiniteGroup, maps: Sequence[MapLike]) -> tuple[list[int], list[int]]:

@@ -11,11 +11,11 @@ order, by two C-level primitives: bytes.translate with a row padded to 256
 bytes, which applies the row as a map, and bytes.join over strings picked
 by element values.  One == compares the two strings, and the first
 differing offset of an unequal pair unravels into the witness, lhs and rhs
-that a plain scan over every tuple in lexicographic order gives.  On
-carriers with n·n <= 256 the interchange law is first decided for all its
-tuples by one == of two whole-table strings; only a failing table is then
-scanned per w, from the first failing one, for its witness.  That scalar
-scan is kept, one loop per law, as the reference in tests/law_reference.py.
+that a plain scan over every tuple in lexicographic order gives.  The
+interchange law is decided on every carrier in O(n²) by its split into two
+endomorphisms with commuting images; only a failing table is then scanned
+per w for its witness.  That scalar scan is kept, one loop per law, as the
+reference in tests/law_reference.py.
 """
 
 from __future__ import annotations
@@ -270,70 +270,52 @@ def _right_skew(G: FiniteGroup, rows: Sequence[bytes], s: Sequence[int], law: st
     on column c, over (a, b).  The witness is the least (a, b, c) among the
     first violations of the failing columns."""
     n = len(rows)
-    first = None  # (offset of (a, b), c, lhs, rhs) of the least violation so far
+    first, end = None, n * n  # the least violation so far; ties keep the smaller c
     for c, (lhs, rhs) in enumerate(_skew_blocks(G, map(bytes, zip(*rows)), s)):
-        end = n * n if first is None else first[0]  # ties keep the smaller c
         if lhs[:end] != rhs[:end]:
-            first = (_first_offset(lhs[:end], rhs[:end]), c, lhs, rhs)
+            end = _first_offset(lhs[:end], rhs[:end])
+            first = (end, c, lhs, rhs)
+            if not end:  # no later column beats a violation at (0, 0)
+                break
     if first is None:
         return holds(law)
     i, c, lhs, rhs = first
     return LawReport(law, False, (i // n, i % n, c), lhs[i], rhs[i])
 
 
-_INTERCHANGE_INDEX: dict[tuple, bytes] = {}
-
-
-def _interchange_index(G: FiniteGroup) -> bytes:
-    """(w + x)·n + (y + z) over (w, y, x, z): the offset of t[w + x][y + z]
-    in a flat n×n table, cached per group table.  Needs n·n <= 256."""
-    index = _INTERCHANGE_INDEX.get(G.table)
-    if index is None:
-        n, rows = G.order, addition_maps(G).rows
-        index = _INTERCHANGE_INDEX[G.table] = bytes(
-            s * n + v for w in range(n) for y in rows for s in rows[w] for v in y
-        )
-    return index
+def sum_of_projections(G: FiniteGroup, left, right) -> bytes:
+    """The flat table a o b = left(a) + right(b): row a is the images of
+    right mapped through the addition row left(a)."""
+    plus, images = addition_maps(G).left, bytes(right)
+    return b"".join(images.translate(plus[x]) for x in left)
 
 
 def _interchange(G: FiniteGroup, rows: Sequence[bytes]) -> LawReport:
-    """(w+x)*(y+z) = (w*y) + (x*z).  For n·n <= 256 one == decides every
-    tuple, with both sides over (w, y, x, z): the left side is the flat
-    table read at _interchange_index, the right one joins, for each w*y = h,
-    the table h + t[x][z] over (x, z).  Where they differ, the witness is
-    read from the first differing block of w, in (y, x, z) order: the least
-    (x, y, z) among the first differing offsets of its sub-blocks of y.
-    Larger carriers are scanned per w over (x, y, z): the left block of x
-    over (y, z) depends on w + x alone, and the right one is row x shifted
-    by each w*y."""
+    """(w+x)*(y+z) = (w*y) + (x*z), decided by its split: with eps = *(-, 0)
+    and eta = *(0, -), it holds iff w*z = eps(w) + eta(z) = eta(z) + eps(w)
+    for all (w, z) and eps and eta are endomorphisms (the law at x = y = 0,
+    y = z = 0, w = x = 0 and w = z = 0; conversely eps(w+x) + eta(y+z) =
+    eps(w) + eta(y) + eps(x) + eta(z)).  Only a failing table is scanned."""
+    n = len(rows)
+    flat = b"".join(rows)
+    eps, eta = flat[::n], rows[0]
+    right = addition_maps(G).right
+    if (flat == sum_of_projections(G, eps, eta)
+            == b"".join([eta.translate(right[e]) for e in eps])  # eta(z) + eps(w)
+            and all(lhs == rhs for lhs, rhs in _skew_blocks(G, (eps, eta), (0, 0)))):
+        return holds("interchange")
+    return _interchange_witness(G, rows)
+
+
+def _interchange_witness(G: FiniteGroup, rows: Sequence[bytes]) -> LawReport:
+    """The interchange law scanned per w over (x, y, z), for the witness of
+    a table the split test rejects: the left block of x over (y, z) depends
+    on w + x alone, and the right one is row x shifted by each w*y."""
     k = addition_maps(G)
     n = len(rows)
-    if n * n <= 256:
-        flat = b"".join(rows)
-        sums = [flat.translate(p) for p in k.left]  # h -> h + t[x][z] over (x, z)
-        lhs = _interchange_index(G).translate(_pad(flat))
-        rhs = b"".join([sums[h] for h in flat])
-        if lhs == rhs:
-            return holds("interchange")
-        # slices are compared, since _first_offset on all n**4 bytes costs more
-        size, block = n * n, n**3
-        w = next(w for w in range(n)
-                 if lhs[w * block:(w + 1) * block] != rhs[w * block:(w + 1) * block])
-        first, end = None, size  # the least violation so far; a later y must beat its x
-        for y in range(n):
-            at = (w * n + y) * size
-            left, right = lhs[at:at + end], rhs[at:at + end]
-            if left != right:
-                i = _first_offset(left, right)
-                first, end = (i // n, y, i % n, at + i), i // n * n
-                if not end:
-                    break
-        x, y, z, i = first
-        return LawReport("interchange", False, (w, x, y, z), lhs[i], rhs[i])
     by_sum = [k.flat.translate(_pad(r)) for r in rows]  # s -> t[s][y + z]
     shifted = [[r.translate(p) for p in k.left] for r in rows]  # x -> h -> h + t[x][z]
-    for w in range(n):
-        r = rows[w]
+    for w, r in enumerate(rows):
         lhs = b"".join([by_sum[x] for x in k.rows[w]])
         rhs = b"".join([by_h[h] for by_h in shifted for h in r])
         if lhs != rhs:

@@ -22,7 +22,6 @@ from .groups import (
     FiniteGroup,
     compose_commute,
     image_commuting,
-    is_endomorphism_images,
     is_idempotent_map,
     preserves_binop,
 )
@@ -144,24 +143,18 @@ def ditruss_to_interchange(obj: AlgebraObject) -> tuple[AlgebraObject, Transform
 
 def interchange_to_ditruss(obj: AlgebraObject) -> tuple[AlgebraObject, TransformRecord]:
     """Recover sigma(a) = a o 0 and tau(a) = 0 o a, check that they are
-    image-commuting, commuting, idempotent endomorphisms with
-    circ = sigma-pi1 + tau-pi2, and return the ditruss (sigma, circ, tau-pi2)."""
+    commuting idempotents, and return the ditruss (sigma, circ, tau-pi2).
+    The interchange law the input passed already splits circ as sigma-pi1 +
+    tau-pi2 with sigma and tau image-commuting endomorphisms."""
     require_verified(obj, (INTERCHANGE,))
     G = obj.group
     sigma = sigma_from_circ(G, obj.circ)
     tau = tuple(obj.circ.table[0])
     for label, m in (("sigma", sigma), ("tau", tau)):
-        if not is_endomorphism_images(G, m):
-            raise HypothesisFailed(f"{label}-endomorphism")
         if not is_idempotent_map(m):
             raise HypothesisFailed(f"{label}-idempotent")
     if not compose_commute(sigma, tau):
         raise HypothesisFailed("sigma-tau-commute")
-    if not image_commuting(G, sigma, tau):
-        raise HypothesisFailed("sigma-tau-image-commuting")
-    expected = op_add(make_sigma_pi1(G, sigma), make_tau_pi2(G, tau))
-    if expected.table != obj.circ.table:
-        raise HypothesisFailed("circ-splits-as-sigma-pi1-plus-tau-pi2")
     ditruss = verify(
         make_algebra(G, DITRUSS, sigma=sigma, circ=obj.circ, dot=make_tau_pi2(G, tau))
     )

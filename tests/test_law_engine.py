@@ -7,8 +7,9 @@ structures with one or two cells of a table (or one entry of sigma)
 changed, so that passing laws, failures at the first tuples and failures
 deep in the scan all occur.  The witness-edge cases change only the last
 or only the first cell (or entry of sigma), on Z1, Z8, Q8 and Z13.  The
-interchange law is also run on both sides of its route boundary: Z16, the
-largest carrier decided by one whole-table comparison, and Z17.
+interchange law, decided by its split into two endomorphisms with
+commuting images, is also run on inline Z16, Z17 and Z32, and on tables
+that split but break the law.
 """
 
 import functools
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from trusslab import (
     binop,
     builtin_group,
+    builtin_names,
     enumerate_constant_lambda_ditrusses,
     enumerate_endomorphisms,
     enumerate_interchange,
@@ -38,7 +40,7 @@ GROUPS = ["Z1", "Z2", "Z3", "V4", "S3", "D4", "Q8", "Z8"]
 # the witness-edge cases: order 1, two groups of order 8, and Z13
 EDGE_GROUPS = ["Z1", "Z8", "Q8", "Z13"]
 # cyclic groups built inline; the catalog stops at order 8
-INLINE_CYCLIC = {"Z13": 13, "Z16": 16, "Z17": 17}
+INLINE_CYCLIC = {"Z13": 13, "Z16": 16, "Z17": 17, "Z32": 32}
 
 # (name, takes sigma) for every law predicate of trusslab.ops
 LAWS = [
@@ -290,13 +292,13 @@ def test_witness_edges(name):
         assert n - 1 in first["late"] and 0 in first["early"], first
 
 
-@pytest.mark.parametrize("name", ["Z16", "Z17"])
+@pytest.mark.parametrize("name", ["Z16", "Z17", "Z32"])
 def test_interchange_route_boundary(name):
-    """Interchange near-rings a o b = alpha*a + beta*b on Z16 (n*n = 256,
-    decided by one whole-table comparison) and Z17 (scanned per w only):
+    """Interchange near-rings a o b = alpha*a + beta*b on Z16, Z17 and Z32:
     as they are, with only the last or only the first cell changed, and
     with the last row shifted, which first fails at w = 1.  Every report
-    is the scalar scan's."""
+    is the scalar scan's.  No route boundary remains: every carrier is
+    decided by the split test, and a failing one scanned per w."""
     G = group(name)
     n = G.order
 
@@ -315,3 +317,87 @@ def test_interchange_route_boundary(name):
             assert not report(changed).holds
         shifted = table[:-1] + [[(x + 1) % n for x in table[-1]]]
         assert report(shifted).witness[0] == 1
+
+
+def split_table(G, eps, eta):
+    """The rows of a o b = eps(a) + eta(b)."""
+    n = G.order
+    flat = ops.sum_of_projections(G, eps, eta)
+    return [list(flat[a * n:(a + 1) * n]) for a in range(n)]
+
+
+def test_split_test_decides_valid_tables(monkeypatch):
+    """With the witness scan made to raise, every interchange near-ring of
+    every catalog group, and a o b = alpha*a + beta*b on inline Z16, Z17
+    and Z32, still passes: the split test alone decides them."""
+    tables = [(o.group, o.circ.table) for name in builtin_names()
+              for o in enumerate_interchange(group(name)).structures]
+    for name in ("Z16", "Z17", "Z32"):
+        G = group(name)
+        n = G.order
+        for alpha, beta in ((1, 1), (3, n - 2), (0, 5), (0, 0)):
+            tables.append((G, [[(alpha * a + beta * b) % n for b in range(n)] for a in range(n)]))
+
+    def scan(G, rows):
+        raise AssertionError("the witness scan ran on a valid table")
+
+    monkeypatch.setattr(ops, "_interchange_witness", scan)
+    for G, rows in tables:
+        assert ops.satisfies_interchange(binop(G, rows)).holds
+
+
+def test_split_tables_that_break_the_law():
+    """Tables a o b = eps(a) + eta(b) that fail the law: on S3 with
+    eps = eta = id (the images do not commute), on Z4 with a non-homomorphic
+    eps or eta, on Z5 with a non-homomorphic eta, and every one-cell change
+    of each interchange near-ring on V4 and S3.  Every report is the scalar
+    scan's."""
+    cases = []
+    S3, Z4, Z5 = group("S3"), group("Z4"), group("Z5")
+    cases.append((S3, split_table(S3, range(6), range(6))))
+    cases.append((Z4, split_table(Z4, (0, 1, 1, 0), range(4))))
+    cases.append((Z4, split_table(Z4, range(4), (0, 1, 1, 0))))
+    cases.append((Z5, split_table(Z5, (0, 2, 4, 1, 3), (0, 1, 1, 2, 2))))
+    for name in ("V4", "S3"):
+        G = group(name)
+        n = G.order
+        for o in enumerate_interchange(G).structures:
+            for a, b in itertools.product(range(n), repeat=2):
+                rows = [list(r) for r in o.circ.table]
+                rows[a][b] = (rows[a][b] + 1) % n
+                cases.append((G, rows))
+    for G, rows in cases:
+        f = binop(G, rows)
+        library = ops.satisfies_interchange(f)
+        assert not library.holds
+        assert library == ref.satisfies_interchange(f), rows
+
+
+def test_right_laws_stop_at_a_violation_at_zero(monkeypatch):
+    """No later column beats a violation at (a, b) = (0, 0), since ties
+    keep the smaller c: a table failing at (0, 0, 0) builds the blocks of
+    one column, and a passing one those of all n.  The reports are the
+    scalar scan's."""
+    columns = []
+    blocks = ops._skew_blocks
+
+    def counted(*args):
+        for pair in blocks(*args):
+            columns.append(pair)
+            yield pair
+
+    monkeypatch.setattr(ops, "_skew_blocks", counted)
+    for name in ("Z4", "S3", "Q8"):
+        G = group(name)
+        n = G.order
+        ones, zero = binop(G, [[1] * n] * n), binop(G, [[0] * n] * n)
+        for law, args, fails in (
+            ("is_right_distributive", (ones,), True),  # (0+0)*0 = 1 != 1 + 1
+            ("is_right_skew_sigma_distributive", (zero, (1,) * n), True),  # 0 != 0 - 1 + 0
+            ("is_right_distributive", (zero,), False),
+        ):
+            columns.clear()
+            library = getattr(ops, law)(*args)
+            assert library == getattr(ref, law)(*args)
+            assert library.holds is not fails
+            assert len(columns) == (1 if fails else n), (name, law)

@@ -4,6 +4,7 @@ import pytest
 
 from trusslab import (
     builtin_group,
+    builtin_names,
     carrier_bijections,
     check,
     convert,
@@ -279,6 +280,24 @@ def test_transforms_compose_to_identity_everywhere():
             d, _ = interchange_to_ditruss(o)
             nr2, _ = ditruss_to_interchange(d)
             assert nr2.structure_key() == o.structure_key()
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_backward_refuses_only_on_idempotency_or_commuting(name):
+    """A verified interchange near-ring already splits into endomorphisms
+    with commuting images, so interchange_to_ditruss converts it or names
+    sigma-idempotent, tau-idempotent or sigma-tau-commute; it converts
+    exactly the associative ones."""
+    G = builtin_group(name)
+    converted = 0
+    for o in enumerate_interchange(G).structures:
+        try:
+            interchange_to_ditruss(o)
+        except HypothesisFailed as exc:
+            assert exc.flag in ("sigma-idempotent", "tau-idempotent", "sigma-tau-commute")
+        else:
+            converted += 1
+    assert converted == enumerate_interchange(G, associative_only=True).total_count
 
 
 # ---------------------------------------------------------------------------
