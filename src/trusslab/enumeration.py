@@ -31,8 +31,9 @@ key to a smaller one.  A kept leaf's least image over Aut(G) is its class
 representative.  The endomorphism pairs are listed in the order of their
 keys, so the least pair's key is already the least of its class, and no
 image of it is built.  Every representative passes verify_key, and a
-class has |Aut G| / |Stab| members.  A listing is the union of the
-representatives' orbits, built and verified when first asked for.
+class has |Aut G| / |Stab| members.  A listing, built and verified when
+first asked for, is the keys of the admissible pairs or the kept leaves'
+orbits.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CarrierTooLarge, GroupMismatch, InputError, TrussLabError
 from .groups import (
@@ -86,16 +87,17 @@ CANDIDATE_BUDGET = 50_000_000
 class ClassificationResult:
     """Every structure of a kind on a group up to isomorphism: the verified
     structure_bytes() key of one structure per class, the least of its
-    class, in key order, and the number of structures.  The sorted keys of
-    every structure, and the objects of any keys, are built when first
-    asked for.  counters describe the search for the stderr summary; they
-    are not part of the payload."""
+    class, in key order, and the number of structures.  listing() yields
+    every key once, in any order; the sorted keys, and the objects of any
+    keys, are built when first asked for.  Neither listing nor counters,
+    which describe the search for the stderr summary, is payload."""
 
     group: FiniteGroup
     kind: str
     representative_keys: list[bytes]
     total_count: int
     search_stats: dict
+    listing: Callable[[], Iterable[bytes]] = field(compare=False, repr=False)
     counters: dict = field(default_factory=dict)
 
     @property
@@ -109,20 +111,15 @@ class ClassificationResult:
 
     @functools.cached_property
     def keys(self) -> list[bytes]:
-        """The structure_bytes() key of every structure, in sorted order:
-        the union of the representatives' orbits under Aut(G), every key
-        but the representatives' own checked by verify_key."""
-        reps = set(self.representative_keys)
-        pullbacks = _pullbacks(self.group, self.kind)
-        found = set(reps)
-        for key in reps:
-            found.update(_images(key, pullbacks))
-        if len(found) != self.total_count:
+        """The structure_bytes() key of every structure, in sorted order,
+        every key but the representatives' own checked by verify_key."""
+        keys = sorted(self.listing())
+        if len(keys) != self.total_count:
             raise TrussLabError(
-                f"{self.kind} orbits on {self.group.name} hold {len(found)} "
+                f"{self.kind} listing on {self.group.name} holds {len(keys)} "
                 f"structures, not {self.total_count}"
             )
-        keys = sorted(found)
+        reps = set(self.representative_keys)
         for key in keys:
             if key not in reps:
                 verify_key(self.group, self.kind, key)
@@ -376,6 +373,10 @@ def _classify_search(G: FiniteGroup, kind: str, cap: int) -> ClassificationResul
         if sigma[0] == 0:
             fixing_zero += size
     reps.sort()
+
+    def listing():  # the union of the representatives' orbits
+        return {image for key in reps for image in (key, *_images(key, pullbacks))}
+
     stats = {"candidates": n ** n * len(endos) ** n}
     if skew:
         stats["sigma_fixes_zero_count"] = fixing_zero
@@ -387,30 +388,34 @@ def _classify_search(G: FiniteGroup, kind: str, cap: int) -> ClassificationResul
         "nodes": search["nodes"],
         "automorphisms": len(pullbacks) + 1,
     }
-    return ClassificationResult(G, kind, reps, total, stats, counters)
+    return ClassificationResult(G, kind, reps, total, stats, listing, counters)
 
 
 def _classify_pairs(G: FiniteGroup, kind: str, endos, pairs, key_of) -> ClassificationResult:
     """The structures key_of(endos[e], endos[f]) of the index pairs (e, f)
-    that ``pairs`` yields in the order of their keys, a set closed under
+    that pairs() yields in the order of their keys, a set closed under
     conjugation by Aut(G), classified from the least pair of each orbit.
     key_of is injective and commutes with Aut(G) (a o 0 and 0 o b recover
     the pair), so a key has its pair's stabilizer, and the least pair's key
     is the least key of its class: it is the representative as it stands,
-    and no image of it is built.  More than CANDIDATE_BUDGET pairs of endos
-    are refused before ``pairs`` is read."""
+    and no image of it is built; the listing takes the keys of pairs()
+    again.  More than CANDIDATE_BUDGET pairs of endos are refused first."""
     candidates = _within_budget(kind, G, endos)
     # sorted by images, so the identity comes first
     others = [h.images for h in automorphisms(G)[1:]]
     conjugates = _conjugation(endos, others)
-    orbits, read = _least_pairs(pairs, lambda pair: zip(*map(conjugates, pair)))
+    orbits, read = _least_pairs(pairs(), lambda pair: zip(*map(conjugates, pair)))
     order = len(others) + 1
     reps, total = [], 0
     for (e, f), fixing in orbits.items():
         reps.append(verify_key(G, kind, key_of(endos[e], endos[f])))
         total += order // (len(fixing) + 1)
     counters = {"admissible_pairs": read, "pairs": candidates, "automorphisms": order}
-    return ClassificationResult(G, kind, reps, total, {"candidates": candidates}, counters)
+
+    def listing():
+        return (key_of(endos[e], endos[f]) for e, f in pairs())
+
+    return ClassificationResult(G, kind, reps, total, {"candidates": candidates}, listing, counters)
 
 
 def enumerate_interchange(
@@ -424,14 +429,16 @@ def enumerate_interchange(
     images, centralizers = image_commuting_masks(G, endos)
     # row 0 of a table is eta and row a is fixed by eps(a), its first
     # entry, so listing eta first lists the tables in key order
-    pairs = (
-        (e, f)
-        for f, (eta, image) in enumerate(zip(endos, images))
-        for e, (eps, centralizer) in enumerate(zip(endos, centralizers))
-        if not image & ~centralizer
-        and (not associative_only or is_idempotent_map(eps) and is_idempotent_map(eta)
-             and compose_commute(eps, eta))
-    )
+    def pairs():
+        return (
+            (e, f)
+            for f, (eta, image) in enumerate(zip(endos, images))
+            for e, (eps, centralizer) in enumerate(zip(endos, centralizers))
+            if not image & ~centralizer
+            and (not associative_only or is_idempotent_map(eps) and is_idempotent_map(eta)
+                 and compose_commute(eps, eta))
+        )
+
     result = _classify_pairs(
         G, INTERCHANGE, endos, pairs,
         lambda eps, eta: sum_of_projections(G, eps.images, eta.images),
@@ -463,12 +470,14 @@ def enumerate_constant_lambda_ditrusses(
     images, centralizers = image_commuting_masks(G, endos)
     # a key starts with sigma and then circ row 0, which is tau, so listing
     # sigma first lists the keys in order
-    pairs = (
-        (s, t)
-        for s, (sig, centralizer) in enumerate(zip(endos, centralizers))
-        for t, (tau, image) in enumerate(zip(endos, images))
-        if compose_commute(sig, tau) and not (image_commuting_only and image & ~centralizer)
-    )
+    def pairs():
+        return (
+            (s, t)
+            for s, (sig, centralizer) in enumerate(zip(endos, centralizers))
+            for t, (tau, image) in enumerate(zip(endos, images))
+            if compose_commute(sig, tau) and not (image_commuting_only and image & ~centralizer)
+        )
+
     return _classify_pairs(
         G, DITRUSS, endos, pairs,
         lambda sig, tau: bytes(sig.images)

@@ -93,10 +93,6 @@ class HypothesisFailed(SemanticError):
         self.flag = flag
 
 
-class NotInterchange(SemanticError):
-    pass
-
-
 class NotAnIdeal(SemanticError):
     pass
 

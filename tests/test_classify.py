@@ -3,8 +3,9 @@
 Every kind is classified isomorph-free, from one generator per
 automorphism orbit: skew and weak trusses from one first search pair, and
 interchange near-rings and constant-lambda ditrusses from one pair of
-endomorphisms.  The library holds the representatives only and builds the
-listing from their orbits.
+endomorphisms.  The library holds the representatives only; a listing is
+the keys of the admissible pairs, or the union of the representatives'
+orbits for skew and weak trusses.
 
 The references here are the routes this replaced.  _classify sorts the
 structure_bytes() keys of every structure once, takes the first unmarked
@@ -99,9 +100,7 @@ def _classify(G, kind, keys, stats) -> ClassificationResult:
                     f"was not enumerated"
                 )
             marked[j] = 1
-    result = ClassificationResult(G, kind, reps, len(keys), stats)
-    result.keys = keys
-    return result
+    return ClassificationResult(G, kind, reps, len(keys), stats, listing=lambda: keys)
 
 
 def reference_classify(structures):
@@ -251,21 +250,22 @@ PAIR_RUNS = [
     ids=["interchange", "interchange-associative", "ditruss", "ditruss-image-commuting"],
 )
 def test_pair_route_builds_no_orbit_images(monkeypatch, enumerate_kind, kwargs):
-    # the least pair's key is the least key of its class, so the pair route
-    # needs neither the orbit minimum nor the table of key pullbacks
+    # the least pair's key is the least key of its class, and a listing is
+    # the keys of the admissible pairs, so the pair route needs neither the
+    # orbit minimum nor the table of key pullbacks, to classify or to list
     expected = {}
     for name in builtin_names():
         result = enumerate_kind(builtin_group(name), **kwargs)
-        expected[name] = (result.representative_keys, result.total_count)
+        expected[name] = (result.representative_keys, result.total_count, result.keys)
 
     def refuse(*args):
         raise AssertionError("the pair route built an image of a key")
 
-    monkeypatch.setattr(enumeration, "_pullbacks", refuse)
-    monkeypatch.setattr(enumeration, "_representative", refuse)
+    for name in ("_pullbacks", "_images", "_representative"):
+        monkeypatch.setattr(enumeration, name, refuse)
     for name in builtin_names():
         result = enumerate_kind(builtin_group(name), **kwargs)
-        assert (result.representative_keys, result.total_count) == expected[name]
+        assert (result.representative_keys, result.total_count, result.keys) == expected[name]
 
 
 @pytest.mark.parametrize("group, kind", PAIR_CASES, ids=[f"{g}-{k}" for g, k in PAIR_CASES])
@@ -276,8 +276,7 @@ def test_pairs_are_listed_in_key_order(monkeypatch, group, kind):
     classify_pairs = enumeration._classify_pairs
 
     def spy(G, kind, endos, pairs, key_of):
-        pairs = list(pairs)
-        listed.append([key_of(endos[e], endos[f]) for e, f in pairs])
+        listed.append([key_of(endos[e], endos[f]) for e, f in pairs()])
         return classify_pairs(G, kind, endos, pairs, key_of)
 
     monkeypatch.setattr(enumeration, "_classify_pairs", spy)
@@ -318,10 +317,9 @@ def test_inline_z2_cubed_classification(capsys, tmp_path, kind, total, classes, 
         assert result.total_count == expected.total_count
 
 
-@pytest.mark.slow
-def test_inline_z2_fourth_ditruss_in_bounded_memory(tmp_path):
-    # 20,160 automorphisms: a table of key pullbacks per automorphism would
-    # take ~300 MiB here, and the pair route builds none
+def _inline_z2_fourth_ditrusses(tmp_path, *options):
+    """stdout and peak resident KiB of `enumerate --kind ditruss` on the
+    inline Z2^4, run in a subprocess."""
     doc = {"name": "Z2xZ2xZ2xZ2", "order": 16, "table": _product(2, 2, 2, 2)}
     path = tmp_path / "z2-fourth.json"
     path.write_text(json.dumps(doc))
@@ -330,18 +328,36 @@ def test_inline_z2_fourth_ditruss_in_bounded_memory(tmp_path):
     with open(tmp_path / "out", "wb") as out, open(tmp_path / "err", "wb") as err:
         proc = subprocess.Popen(
             [sys.executable, "-m", "trusslab.cli", "enumerate", "--group", str(path),
-             "--kind", "ditruss", "--up-to-iso"],
+             "--kind", "ditruss", *options],
             env=env, stdout=out, stderr=err,
         )
         _pid, status, usage = os.wait4(proc.pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
-    out = (tmp_path / "out").read_bytes()
+    return (tmp_path / "out").read_bytes(), usage.ru_maxrss
+
+
+@pytest.mark.slow
+def test_inline_z2_fourth_ditruss_in_bounded_memory(tmp_path):
+    # 20,160 automorphisms: a table of key pullbacks per automorphism would
+    # take ~300 MiB here, and the pair route builds none
+    out, peak = _inline_z2_fourth_ditrusses(tmp_path, "--up-to-iso")
     assert hashlib.sha256(out).hexdigest() == (
         "a5cb612236dce3d1d1e3d6616310ff5c143b3033c5c80c965aeb6412c84d0e30"
     )
     payload = json.loads(out)
     assert (payload["total_count"], payload["iso_class_count"]) == (65284, 35)
-    assert usage.ru_maxrss < 100 * 1024  # KiB
+    assert peak < 100 * 1024  # KiB
+
+
+@pytest.mark.slow
+def test_inline_z2_fourth_ditruss_listing_in_bounded_memory(tmp_path):
+    # the listing is the keys of the 65,284 admissible pairs; walking the
+    # representatives' orbits through the key pullbacks would take ~335 MiB
+    out, peak = _inline_z2_fourth_ditrusses(tmp_path)
+    assert hashlib.sha256(out).hexdigest() == (
+        "3fa2f00cfd6c6bc32c1a858086ab80c967e7aee22aeaad637890552900932cd6"
+    )
+    assert peak < 100 * 1024  # KiB
 
 
 @pytest.mark.parametrize(
@@ -355,12 +371,13 @@ def test_order_six_weak_truss_classification(name, total, classes):
 
 
 def test_listing_checks_the_orbit_count():
-    # the listing is the union of the representatives' orbits; a total that
-    # disagrees with it raises instead of listing a different set
+    # a listing (the union of the representatives' orbits on V4, the keys of
+    # the admissible pairs on D4) is counted apart from the orbit-stabilizer
+    # total; a total that disagrees with it raises instead of listing
     for group, kind, total in (("V4", "skew-truss", 618), ("D4", "interchange-nr", 560)):
         result = ENUMERATORS[kind](builtin_group(group))
         result.total_count -= 1
         with pytest.raises(
-            TrussLabError, match=f"orbits on {group} hold {total} structures, not {total - 1}"
+            TrussLabError, match=f"listing on {group} holds {total} structures, not {total - 1}"
         ):
             result.keys

@@ -557,7 +557,6 @@ def test_convert_involution_needs_column_constant_dot(capsys, tmp_path):
 SEMANTIC_ERROR_NAMES = [
     "VerificationFailed",
     "HypothesisFailed",
-    "NotInterchange",
     "NotAnIdeal",
     "NotVerified",
     "SigmaNotIdempotentEndo",
@@ -576,7 +575,7 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-def test_semantic_errors_are_exactly_the_twelve():
+def test_semantic_errors_are_exactly_the_eleven():
     from trusslab.errors import SemanticError
 
     assert sorted(c.__name__ for c in _subclasses(SemanticError)) == sorted(

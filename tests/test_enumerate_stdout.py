@@ -50,6 +50,8 @@ CASES = [
     (("Z5", "skew-truss", False, None), "972cf884cff312c6bf4d89a4bc8ecf47dbec1900a3632b7e5922b2bcb308ee03"),
     (("D4", "ditruss", True, None), "a84e6a3a4f175459cf4a438c3b1539309c6237e076df8fa6abc2a54d66f84cb0"),
     (("Z4", "weak-truss", True, None), "bc5422b5fc25d35cead773ad5c623cf7d66faa4b48254ddc741c1c77ef2f6154"),
+    (("D4", "interchange", False, None), "18de72385074595ee8de1356fca4f2847cd491e66f5fc513f25b8385af166aea"),
+    (("Q8", "ditruss", False, None), "fb73c54a19033bb41d67a2b14fc3432acfc8d8a430815cfe00670e7efdf29be1"),
 ]
 
 

@@ -300,6 +300,25 @@ def test_backward_refuses_only_on_idempotency_or_commuting(name):
     assert converted == enumerate_interchange(G, associative_only=True).total_count
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_forward_refuses_only_on_a_hypothesis(name):
+    """ditruss_to_interchange marks its output verified without a check:
+    on every constant-lambda ditruss it either names a hypothesis flag or
+    returns an interchange near-ring that passes one, and it converts as
+    many as there are associative interchange near-rings."""
+    G = builtin_group(name)
+    converted = 0
+    for d in enumerate_constant_lambda_ditrusses(G).structures:
+        try:
+            nr, _ = ditruss_to_interchange(d)
+        except HypothesisFailed as exc:
+            assert exc.flag in ("circ-associative", "sigma-lambda0-image-commuting")
+        else:
+            assert check(nr).ok
+            converted += 1
+    assert converted == enumerate_interchange(G, associative_only=True).total_count
+
+
 # ---------------------------------------------------------------------------
 # opposite operation
 
