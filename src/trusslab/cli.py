@@ -188,8 +188,8 @@ def cmd_enumerate(args) -> int:
     if "first_pairs" in counters:
         summary += (
             f"; first pairs searched {counters['first_pairs_searched']} of "
-            f"{counters['first_pairs']}, leaves visited {counters['leaves_visited']}, "
-            f"kept {counters['leaves_kept']}, nodes {counters['nodes']}"
+            f"{counters['first_pairs']}, leaves kept {counters['leaves_kept']}, "
+            f"nodes {counters['nodes']}, pruned {counters['pruned']}"
         )
     else:
         summary += f"; admissible pairs {counters['admissible_pairs']} of {counters['pairs']}"

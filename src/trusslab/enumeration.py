@@ -25,10 +25,10 @@ after McKay's canonical augmentation (J. Algorithms 26, 1998).  An
 automorphism h fixes 0, so it moves the first search pair (sigma(0), lam_0)
 of a skew or weak truss to (h sigma(0), h lam_0 h^-1), and the endomorphism
 pair (e, f) of an interchange near-ring or constant-lambda ditruss to
-(h e h^-1, h f h^-1).  Only the least pair of each orbit is kept, and a
-leaf of the search only if no automorphism fixing its first pair maps its
-key to a smaller one.  A kept leaf's least image over Aut(G) is its class
-representative.  The endomorphism pairs are listed in the order of their
+(h e h^-1, h f h^-1).  Only the least pair of each orbit is kept, and
+Read's orderly test against the automorphisms fixing the first pair
+prunes the search to one leaf per class.  A leaf's least image over
+Aut(G) is its class representative.  The endomorphism pairs are listed in the order of their
 keys, so the least pair's key is already the least of its class, and no
 image of it is built.  Every representative passes verify_key, and a
 class has |Aut G| / |Stab| members.  A listing, built and verified when
@@ -172,21 +172,27 @@ class ClassificationResult:
 # parametrized search
 
 def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: bool,
-                  first_pairs=None, counters=None):
+                  stabilizers=None, counters=None):
     """All (sigma, lambda) pairs with sigma(a) in sigma_domains[a] and every
     lam_a in ``endomorphisms`` (the sorted list enumerate_endomorphisms(G)
     returns) that satisfy (ii), and (i) when condition_i.  Yields
     (sigma, digit-tuple, dot-rows, circ-rows), where digit a indexes lam_a.
-    first_pairs, when given, holds the only (sigma(0), digit 0) pairs the
-    search starts from.  counters["nodes"], when counters is given, counts
-    the partial assignments the search accepts, root and leaves included.
+    stabilizers, when given, maps the only (sigma(0), digit 0) pairs the
+    search starts from to the actions (h, h^-1, conj_h) of the automorphisms
+    fixing each, conj_h taking lam's digit to h lam h^-1's; the orderly test
+    below then leaves one leaf per class.  counters, when given, counts the
+    nodes the search accepts, root and leaves included, and those pruned.
 
     The search assigns the pair (sigma(k), lam_k) for k = 0, 1, ..., each
     in increasing order.  The instance (x, y) of (i) and (ii) is decided
     when max(x, y) is assigned: its target c = sigma(x) + lam_x(y) is known
     by then, and sigma(c) = sigma(x) + lam_x(sigma(y)) and
     lam_c = lam_x lam_y are checked if c is assigned and forced on c
-    otherwise.  For a fixed sigma, lambdas come in lexicographic order."""
+    otherwise.  For a fixed sigma, lambdas come in lexicographic order.
+    The orderly test (Read, 1978): h moves (sigma(q), d_q) at q to
+    (h sigma(q), conj_h(d_q)) at h(q).  Each h whose image ties the node
+    so far is compared at p = 1, 2, ... while p and h^-1(p) are assigned,
+    sigma first: a smaller image prunes the node, a larger one drops h."""
     n = G.order
     endos = [e.images for e in endomorphisms]
     index = {e: i for i, e in enumerate(endos)}
@@ -198,8 +204,8 @@ def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: boo
     all_endos = range(len(endos))
     # lams[k][s]: the digits lam_k takes when sigma(k) = s and lam_k is free
     lams = [[all_endos] * n] * n
-    if first_pairs is not None:
-        lams[0] = [[e for s, e in first_pairs if s == t] for t in range(n)]
+    if stabilizers is not None:
+        lams[0] = [[e for s, e in stabilizers if s == t] for t in range(n)]
     sigma = [0] * n
     digits = [0] * n
     rows: list = [None] * n
@@ -207,9 +213,23 @@ def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: boo
     forced_sigma: list = [None] * n
     forced_digit: list = [None] * n
     counters = {} if counters is None else counters
-    counters["nodes"] = 0
+    counters["nodes"] = counters["pruned"] = 0
 
-    def extend(k):
+    def orderly(live, k):  # the (action, next p) of live still tied, or None
+        ties = []
+        for action, p in live:
+            h, hinv, conj = action
+            diff = 0
+            while not diff and p <= k and (q := hinv[p]) <= k:
+                diff = h[sigma[q]] - sigma[p] or conj[digits[q]] - digits[p]
+                p += 1
+            if diff < 0:
+                return None
+            if not diff:
+                ties.append((action, p))
+        return ties
+
+    def extend(k, live):
         counters["nodes"] += 1
         if k == n:
             yield tuple(sigma), tuple(digits), tuple(map(endos.__getitem__, digits)), tuple(rows)
@@ -237,11 +257,18 @@ def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: boo
                     elif forced_digit[c] != v or condition_i and forced_sigma[c] != row[sigma[y]]:
                         break
                 else:
-                    yield from extend(k + 1)
+                    if k:
+                        ties = orderly(live, k) if live else live
+                    else:  # position 0 ties under every automorphism fixing the pair
+                        ties = [(action, 1) for action in stabilizers[s, e]] if stabilizers else ()
+                    if ties is None:
+                        counters["pruned"] += 1
+                    else:
+                        yield from extend(k + 1, ties)
                 for c in placed:
                     forced_sigma[c] = forced_digit[c] = None
 
-    return extend(0)
+    return extend(0, ())
 
 
 def _within_budget(kind: str, G: FiniteGroup, endos) -> int:
@@ -332,9 +359,9 @@ def _representative(G: FiniteGroup, kind: str, key: bytes, pullbacks) -> tuple[b
 
 
 def _classify_search(G: FiniteGroup, kind: str, cap: int) -> ClassificationResult:
-    """The joint search from one first pair per Aut(G)-orbit.  A leaf whose
-    key an automorphism fixing its first pair makes smaller is dropped;
-    every other leaf is the one kept for its class.  sigma(0) = 0 is
+    """The joint search from one first pair per Aut(G)-orbit, pruned by the
+    orderly test against the automorphisms fixing that pair, so every leaf
+    it reaches is the one kept for its class.  sigma(0) = 0 is
     invariant under Aut(G), so it is counted per class as well.  Orders
     above max(cap, ORDER_CAP_DEFAULT) are refused before any endomorphism
     is searched, and more than CANDIDATE_BUDGET endomorphism pairs before
@@ -356,17 +383,15 @@ def _classify_search(G: FiniteGroup, kind: str, cap: int) -> ClassificationResul
         itertools.product(range(n), range(len(endos))),
         lambda pair: zip([h[pair[0]] for h in auts], conjugates(pair[1])),
     )
-    # the _pullbacks entries of the automorphisms fixing each first pair
-    stabilizers = {pair: [pullbacks[k] for k in fixing] for pair, fixing in first_pairs.items()}
-    reps, total, fixing_zero, visited, search = [], 0, 0, 0, {}
-    for sigma, digits, dot, circ in _joint_search(
+    # every automorphism fixes the first pair (0, zero map): tabulate each
+    conj = zip(*map(conjugates, range(len(endos))))
+    actions = [(h, _inverse(h), table) for h, table in zip(auts, conj)]
+    stabilizers = {pair: [actions[k] for k in fixing] for pair, fixing in first_pairs.items()}
+    reps, total, fixing_zero, search = [], 0, 0, {}
+    for sigma, _digits, dot, circ in _joint_search(
         G, endos, [range(n)] * n, skew, stabilizers, search
     ):
-        visited += 1
         key = bytes(sigma) + b"".join(map(bytes, circ if skew else dot))
-        stabilizer = stabilizers[sigma[0], digits[0]]
-        if any(map(key.__gt__, _images(key, stabilizer))):  # an image below key
-            continue
         rep, size = _representative(G, kind, key, pullbacks)
         reps.append(rep)
         total += size
@@ -383,9 +408,9 @@ def _classify_search(G: FiniteGroup, kind: str, cap: int) -> ClassificationResul
     counters = {
         "first_pairs_searched": len(first_pairs),
         "first_pairs": n * len(endos),
-        "leaves_visited": visited,
         "leaves_kept": len(reps),
         "nodes": search["nodes"],
+        "pruned": search["pruned"],
         "automorphisms": len(pullbacks) + 1,
     }
     return ClassificationResult(G, kind, reps, total, stats, listing, counters)

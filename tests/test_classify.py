@@ -176,16 +176,20 @@ SEARCH_CASES = [
 
 def full_search(G, kind):
     """The classification before the search was made isomorph-free: every
-    leaf of the unrestricted joint search verified, then orbit marking."""
+    leaf of the unrestricted joint search verified, then orbit marking.
+    Its counters are the search's."""
     n, skew = G.order, kind == "skew-truss"
+    search = {}
     keys = [
         verify_key(G, kind, bytes(sigma) + b"".join(map(bytes, circ if skew else dot)))
         for sigma, _digits, dot, circ in _joint_search(
-            G, enumerate_endomorphisms(G), [range(n)] * n, skew
+            G, enumerate_endomorphisms(G), [range(n)] * n, skew, counters=search
         )
     ]
     stats = {"sigma_fixes_zero_count": sum(key[0] == 0 for key in keys)} if skew else {}
-    return _classify(G, kind, keys, stats)
+    result = _classify(G, kind, keys, stats)
+    result.counters = search
+    return result
 
 
 @pytest.mark.parametrize("group, kind", SEARCH_CASES, ids=[f"{g}-{k}" for g, k in SEARCH_CASES])
@@ -206,7 +210,10 @@ def test_isomorph_free_search_matches_full_search(group, kind):
     # one leaf kept per class
     counters = result.counters
     assert counters["leaves_kept"] == result.iso_class_count
-    assert counters["leaves_visited"] <= result.total_count
+    # the orderly test only cuts: each node it accepts or prunes is one the
+    # full search accepts
+    assert counters["nodes"] + counters["pruned"] <= expected.counters["nodes"]
+    assert expected.counters["pruned"] == 0
     assert counters["first_pairs_searched"] <= counters["first_pairs"]
 
 
@@ -317,23 +324,41 @@ def test_inline_z2_cubed_classification(capsys, tmp_path, kind, total, classes, 
         assert result.total_count == expected.total_count
 
 
+# trusslab.cli.main, then the VmHWM line of /proc/self/status on stderr:
+# the child's own peak, where the ru_maxrss of os.wait4 would report at
+# least the caller's, carried into the child across exec
+_REPORTS_ITS_PEAK = (
+    "import sys\n"
+    "from trusslab.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "with open('/proc/self/status') as status:\n"
+    "    sys.stderr.writelines(line for line in status if line.startswith('VmHWM:'))\n"
+    "sys.exit(code)\n"
+)
+
+
+def _run_cli(tmp_path, *argv):
+    """stdout and the peak resident KiB of `trusslab <argv>`, run to exit 0
+    in a subprocess that reports its own peak."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "out", "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORTS_ITS_PEAK, *argv],
+            env=env, stdout=out, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 0, proc.stderr
+    (peak,) = [line.split()[1] for line in proc.stderr.splitlines() if line.startswith("VmHWM:")]
+    return (tmp_path / "out").read_bytes(), int(peak)
+
+
 def _inline_z2_fourth_ditrusses(tmp_path, *options):
     """stdout and peak resident KiB of `enumerate --kind ditruss` on the
     inline Z2^4, run in a subprocess."""
     doc = {"name": "Z2xZ2xZ2xZ2", "order": 16, "table": _product(2, 2, 2, 2)}
     path = tmp_path / "z2-fourth.json"
     path.write_text(json.dumps(doc))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    with open(tmp_path / "out", "wb") as out, open(tmp_path / "err", "wb") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "trusslab.cli", "enumerate", "--group", str(path),
-             "--kind", "ditruss", *options],
-            env=env, stdout=out, stderr=err,
-        )
-        _pid, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    return (tmp_path / "out").read_bytes(), usage.ru_maxrss
+    return _run_cli(tmp_path, "enumerate", "--group", str(path), "--kind", "ditruss", *options)
 
 
 @pytest.mark.slow
@@ -358,6 +383,43 @@ def test_inline_z2_fourth_ditruss_listing_in_bounded_memory(tmp_path):
         "3fa2f00cfd6c6bc32c1a858086ab80c967e7aee22aeaad637890552900932cd6"
     )
     assert peak < 100 * 1024  # KiB
+
+
+ORDER_EIGHT_SKEW = [
+    ("Z8", 152848, 39342, "fe12484d98d9cec083863bd175180cd3e021c468489cde4a71ee175c0fb294eb"),
+    ("Q8", 221856, 10285, "17df70f7d8723956af13f9f5af4ca7390c2de4bd3039b196d4db9c9b911cdd64"),
+    ("D4", 495664, 65923, "8b4002726944ab559ed46d905c7a47b52e5c4af0a8964471cdafe708f5322dee"),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "name, total, classes, digest", ORDER_EIGHT_SKEW, ids=[case[0] for case in ORDER_EIGHT_SKEW]
+)
+def test_order_eight_skew_truss_classification(tmp_path, name, total, classes, digest):
+    # the counts equal a Burnside's-lemma count, (1/|Aut G|) sum_h Fix(h),
+    # made apart from this search (ROADMAP, Baselines)
+    out, peak = _run_cli(
+        tmp_path, "enumerate", "--group", name, "--kind", "skew-truss", "--cap", "8", "--up-to-iso"
+    )
+    assert hashlib.sha256(out).hexdigest() == digest
+    payload = json.loads(out)
+    assert (payload["total_count"], payload["iso_class_count"]) == (total, classes)
+    assert peak < 60 * 1024  # KiB
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "doc, total, classes",
+    [({"name": "Z4xZ2", "order": 8, "table": _product(4, 2)}, 328276, 45616),
+     (Z2_CUBED, 2975076, 20487)],
+    ids=["Z4xZ2", "Z2xZ2xZ2"],
+)
+def test_inline_order_eight_skew_truss_counts(doc, total, classes):
+    # the two abelian groups of order 8 outside the catalog; the counts
+    # equal a Burnside's-lemma count made apart from this search
+    result = enumerate_skew_trusses(group_from_json(doc), cap=8)
+    assert (result.total_count, result.iso_class_count) == (total, classes)
 
 
 @pytest.mark.parametrize(

@@ -277,11 +277,11 @@ def test_enumerate_output_is_deterministic(capsys):
     "group, kind, summary",
     [
         ("V4", "skew-truss", "618 structures, 126 up to isomorphism; first pairs searched "
-                             "16 of 64, leaves visited 345, kept 126, nodes 612, |Aut G| = 6"),
+                             "16 of 64, leaves kept 126, nodes 295, pruned 138, |Aut G| = 6"),
         ("Z5", "skew-truss", "622 structures, 164 up to isomorphism; first pairs searched "
-                             "10 of 25, leaves visited 448, kept 164, nodes 793, |Aut G| = 4"),
+                             "10 of 25, leaves kept 164, nodes 363, pruned 119, |Aut G| = 4"),
         ("V4", "weak-truss", "3996 structures, 717 up to isomorphism; first pairs searched "
-                             "16 of 64, leaves visited 1448, kept 717, nodes 2005, |Aut G| = 6"),
+                             "16 of 64, leaves kept 717, nodes 1086, pruned 369, |Aut G| = 6"),
         ("V4", "interchange-nr", "256 structures, 56 up to isomorphism; admissible pairs "
                                  "256 of 256, |Aut G| = 6"),
         ("D4", "ditruss", "52 structures, 15 up to isomorphism; admissible pairs "
