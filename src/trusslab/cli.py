@@ -185,10 +185,9 @@ def cmd_enumerate(args) -> int:
         f"{result.iso_class_count} up to isomorphism"
     )
     counters = result.counters
-    if "first_pairs" in counters:
+    if "leaves_kept" in counters:
         summary += (
-            f"; first pairs searched {counters['first_pairs_searched']} of "
-            f"{counters['first_pairs']}, leaves kept {counters['leaves_kept']}, "
+            f"; leaves kept {counters['leaves_kept']}, "
             f"nodes {counters['nodes']}, pruned {counters['pruned']}"
         )
     else:

@@ -20,26 +20,22 @@ associativity of circ is equivalent to
 and weak sigma-associativity of the dot table lam is equivalent to (ii)
 alone (with a o b read as sigma(a) + lam_a(b)).
 
-Every kind is classified isomorph-free from one generator per Aut(G)-orbit,
-after McKay's canonical augmentation (J. Algorithms 26, 1998).  An
-automorphism h fixes 0, so it moves the first search pair (sigma(0), lam_0)
-of a skew or weak truss to (h sigma(0), h lam_0 h^-1), and the endomorphism
-pair (e, f) of an interchange near-ring or constant-lambda ditruss to
-(h e h^-1, h f h^-1).  Only the least pair of each orbit is kept, and
-Read's orderly test against the automorphisms fixing the first pair
-prunes the search to one leaf per class.  A leaf's least image over
-Aut(G) is its class representative.  The endomorphism pairs are listed in the order of their
-keys, so the least pair's key is already the least of its class, and no
-image of it is built.  Every representative passes verify_key, and a
-class has |Aut G| / |Stab| members.  A listing, built and verified when
-first asked for, is the keys of the admissible pairs or the kept leaves'
-orbits.
+Every kind is classified isomorph-free (McKay, J. Algorithms 26, 1998).
+An automorphism h moves a skew or weak truss's search coordinates
+(sigma(q), lam_q) to (h sigma(q), h lam_q h^-1) at h(q), and the
+endomorphism pair (e, f) of an interchange near-ring or constant-lambda
+ditruss to (h e h^-1, h f h^-1).  Read's orderly test against every
+automorphism, from position 0, prunes the search to one leaf per class,
+whose least key image is its representative; the least pair of each
+orbit, listed in key order, is its class representative as it stands.
+Every representative passes verify_key, and a class has |Aut G| / |Stab|
+members.  A listing, built and verified when first asked for, is the
+keys of the admissible pairs or the kept leaves' orbits.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -172,16 +168,15 @@ class ClassificationResult:
 # parametrized search
 
 def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: bool,
-                  stabilizers=None, counters=None):
+                  actions=(), counters=None):
     """All (sigma, lambda) pairs with sigma(a) in sigma_domains[a] and every
     lam_a in ``endomorphisms`` (the sorted list enumerate_endomorphisms(G)
-    returns) that satisfy (ii), and (i) when condition_i.  Yields
+    returns) that satisfy (ii), and (i) when condition_i, and pass the
+    orderly test against ``actions``, the (h, h^-1, conj_h) of some
+    automorphisms, conj_h taking lam's digit to h lam h^-1's.  Yields
     (sigma, digit-tuple, dot-rows, circ-rows), where digit a indexes lam_a.
-    stabilizers, when given, maps the only (sigma(0), digit 0) pairs the
-    search starts from to the actions (h, h^-1, conj_h) of the automorphisms
-    fixing each, conj_h taking lam's digit to h lam h^-1's; the orderly test
-    below then leaves one leaf per class.  counters, when given, counts the
-    nodes the search accepts, root and leaves included, and those pruned.
+    counters, when given, counts the nodes the search accepts, root and
+    leaves included, and those pruned.
 
     The search assigns the pair (sigma(k), lam_k) for k = 0, 1, ..., each
     in increasing order.  The instance (x, y) of (i) and (ii) is decided
@@ -191,8 +186,11 @@ def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: boo
     otherwise.  For a fixed sigma, lambdas come in lexicographic order.
     The orderly test (Read, 1978): h moves (sigma(q), d_q) at q to
     (h sigma(q), conj_h(d_q)) at h(q).  Each h whose image ties the node
-    so far is compared at p = 1, 2, ... while p and h^-1(p) are assigned,
-    sigma first: a smaller image prunes the node, a larger one drops h."""
+    so far is compared at p = 0, 1, ... while p and h^-1(p) are assigned,
+    sigma first: a smaller image prunes the node, a larger one drops h.
+    (i) and (ii) commute with Aut(G), so against all of it but the identity
+    the test keeps one leaf per class; at position 0 it prunes each first
+    pair not least in its orbit and leaves the pair's stabilizer tied."""
     n = G.order
     endos = [e.images for e in endomorphisms]
     index = {e: i for i, e in enumerate(endos)}
@@ -202,10 +200,6 @@ def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: boo
     shifted = [[tuple(row[x] for x in e) for e in endos] for row in G.table]
     pairs = [[(k, y) for y in range(k + 1)] + [(x, k) for x in range(k)] for k in range(n)]
     all_endos = range(len(endos))
-    # lams[k][s]: the digits lam_k takes when sigma(k) = s and lam_k is free
-    lams = [[all_endos] * n] * n
-    if stabilizers is not None:
-        lams[0] = [[e for s, e in stabilizers if s == t] for t in range(n)]
     sigma = [0] * n
     digits = [0] * n
     rows: list = [None] * n
@@ -238,7 +232,7 @@ def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: boo
         domain = sigma_domains[k]
         for s in domain if fs is None else (fs,) if fs in domain else ():
             sigma[k] = s
-            for e in lams[k][s] if fe is None else (fe,):
+            for e in all_endos if fe is None else (fe,):
                 digits[k] = e
                 rows[k] = shifted[s][e]
                 placed = []
@@ -257,10 +251,7 @@ def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: boo
                     elif forced_digit[c] != v or condition_i and forced_sigma[c] != row[sigma[y]]:
                         break
                 else:
-                    if k:
-                        ties = orderly(live, k) if live else live
-                    else:  # position 0 ties under every automorphism fixing the pair
-                        ties = [(action, 1) for action in stabilizers[s, e]] if stabilizers else ()
+                    ties = orderly(live, k) if live else live
                     if ties is None:
                         counters["pruned"] += 1
                     else:
@@ -268,7 +259,7 @@ def _joint_search(G: FiniteGroup, endomorphisms, sigma_domains, condition_i: boo
                 for c in placed:
                     forced_sigma[c] = forced_digit[c] = None
 
-    return extend(0, ())
+    return extend(0, [(action, 0) for action in actions])
 
 
 def _within_budget(kind: str, G: FiniteGroup, endos) -> int:
@@ -307,22 +298,18 @@ def enumerate_weak_trusses(G: FiniteGroup, cap: int = ORDER_CAP_DEFAULT) -> Clas
 
 
 def _least_pairs(pairs, images) -> tuple[dict, int]:
-    """The least pair of each orbit of ``pairs``, mapped to the positions
-    of the automorphisms that fix it, and the number of pairs read.
-    images(pair) yields the image of the pair under each automorphism but
-    the identity, in one fixed order; ``pairs`` is closed under them and
-    listed in key order, so the first pair met of an orbit is its least.
-    The images of that pair are marked as seen, so this costs
-    orbits x |Aut G|."""
+    """The least pair of each orbit of ``pairs``, mapped to the order of
+    its stabilizer, and the number of pairs read.  images(pair) yields the
+    image of the pair under each automorphism but the identity; ``pairs``
+    is closed under them and listed in key order, so the first pair met of
+    an orbit is its least.  The images of that pair are marked as seen, so
+    this costs orbits x |Aut G|."""
     seen, orbits, read = set(), {}, 0
     for read, pair in enumerate(pairs, 1):
-        if pair in seen:
-            continue
-        fixing = orbits[pair] = []
-        for k, image in enumerate(images(pair)):
-            seen.add(image)
-            if image == pair:
-                fixing.append(k)
+        if pair not in seen:
+            moved = list(images(pair))
+            seen.update(moved)
+            orbits[pair] = 1 + moved.count(pair)
     return orbits, read
 
 
@@ -359,13 +346,12 @@ def _representative(G: FiniteGroup, kind: str, key: bytes, pullbacks) -> tuple[b
 
 
 def _classify_search(G: FiniteGroup, kind: str, cap: int) -> ClassificationResult:
-    """The joint search from one first pair per Aut(G)-orbit, pruned by the
-    orderly test against the automorphisms fixing that pair, so every leaf
-    it reaches is the one kept for its class.  sigma(0) = 0 is
-    invariant under Aut(G), so it is counted per class as well.  Orders
-    above max(cap, ORDER_CAP_DEFAULT) are refused before any endomorphism
-    is searched, and more than CANDIDATE_BUDGET endomorphism pairs before
-    the search tabulates their composites."""
+    """The joint search pruned by the orderly test against every
+    automorphism, so every leaf it reaches is the one kept for its class.
+    sigma(0) = 0 is invariant under Aut(G), so it is counted per class as
+    well.  Orders above max(cap, ORDER_CAP_DEFAULT) are refused before any
+    endomorphism is searched, and more than CANDIDATE_BUDGET endomorphism
+    pairs before the search tabulates their composites."""
     n = G.order
     skew = kind == SKEW_TRUSS
     limit = max(cap, ORDER_CAP_DEFAULT)
@@ -377,19 +363,12 @@ def _classify_search(G: FiniteGroup, kind: str, cap: int) -> ClassificationResul
     endos = enumerate_endomorphisms(G)
     _within_budget(kind, G, endos)
     pullbacks = _pullbacks(G, kind)
-    auts = [h for h, _pull, _push in pullbacks]
-    conjugates = _conjugation(endos, auts)
-    first_pairs, _read = _least_pairs(
-        itertools.product(range(n), range(len(endos))),
-        lambda pair: zip([h[pair[0]] for h in auts], conjugates(pair[1])),
-    )
-    # every automorphism fixes the first pair (0, zero map): tabulate each
-    conj = zip(*map(conjugates, range(len(endos))))
+    auts = [h.images for h in automorphisms(G)[1:]]
+    conj = zip(*map(_conjugation(endos, auts), range(len(endos))))
     actions = [(h, _inverse(h), table) for h, table in zip(auts, conj)]
-    stabilizers = {pair: [actions[k] for k in fixing] for pair, fixing in first_pairs.items()}
     reps, total, fixing_zero, search = [], 0, 0, {}
     for sigma, _digits, dot, circ in _joint_search(
-        G, endos, [range(n)] * n, skew, stabilizers, search
+        G, endos, [range(n)] * n, skew, actions, search
     ):
         key = bytes(sigma) + b"".join(map(bytes, circ if skew else dot))
         rep, size = _representative(G, kind, key, pullbacks)
@@ -406,8 +385,6 @@ def _classify_search(G: FiniteGroup, kind: str, cap: int) -> ClassificationResul
     if skew:
         stats["sigma_fixes_zero_count"] = fixing_zero
     counters = {
-        "first_pairs_searched": len(first_pairs),
-        "first_pairs": n * len(endos),
         "leaves_kept": len(reps),
         "nodes": search["nodes"],
         "pruned": search["pruned"],
@@ -432,9 +409,9 @@ def _classify_pairs(G: FiniteGroup, kind: str, endos, pairs, key_of) -> Classifi
     orbits, read = _least_pairs(pairs(), lambda pair: zip(*map(conjugates, pair)))
     order = len(others) + 1
     reps, total = [], 0
-    for (e, f), fixing in orbits.items():
+    for (e, f), fixed in orbits.items():
         reps.append(verify_key(G, kind, key_of(endos[e], endos[f])))
-        total += order // (len(fixing) + 1)
+        total += order // fixed
     counters = {"admissible_pairs": read, "pairs": candidates, "automorphisms": order}
 
     def listing():
@@ -518,7 +495,7 @@ _PULLBACKS: dict[tuple, tuple] = {}
 
 
 def _pullbacks(G: FiniteGroup, kind: str) -> tuple:
-    """(h, gather, translation) for every automorphism h of G but the
+    """(gather, translation) for every automorphism h of G but the
     identity, acting on the structure_bytes() keys of kind: the image of a
     key under h is bytes(gather(key)).translate(translation).  The image
     of a map f is h . f . h^-1: the key is pulled back along h, and every
@@ -526,22 +503,17 @@ def _pullbacks(G: FiniteGroup, kind: str) -> tuple:
     so every itemgetter here takes several indices and returns a tuple."""
     cached = _PULLBACKS.get((G.table, kind))
     if cached is None:
-        n = G.order
-        identity = tuple(range(n))
-        entries = []
-        for aut in automorphisms(G):
-            h = aut.images
-            if h == identity:
-                continue
-            entries.append((h, itemgetter(*pullback_index(kind, _inverse(h))), _pad(bytes(h))))
-        cached = _PULLBACKS[(G.table, kind)] = tuple(entries)
+        cached = _PULLBACKS[(G.table, kind)] = tuple(
+            (itemgetter(*pullback_index(kind, _inverse(h.images))), _pad(bytes(h.images)))
+            for h in automorphisms(G)[1:]
+        )
     return cached
 
 
 def _images(key: bytes, pullbacks) -> Iterator[bytes]:
     """The image of key under each automorphism of pullbacks, a sequence
     of _pullbacks entries, in their order."""
-    for _h, pull, push in pullbacks:
+    for pull, push in pullbacks:
         yield bytes(pull(key)).translate(push)
 
 

@@ -88,11 +88,22 @@ def skew_structures(name: str):
 
 
 @lru_cache(maxsize=None)
+def order_six_representatives():
+    """One skew truss per isomorphism class on Z6 and S3: 3,361 classes.
+    Ideals and congruences are invariant under automorphisms, so the
+    representatives stand for every order-6 skew truss."""
+    return [
+        obj
+        for name in ("Z6", "S3")
+        for obj in enumerate_skew_trusses(builtin_group(name), cap=6).representatives
+    ]
+
+
+@lru_cache(maxsize=None)
 def order_six_extras():
     """Skew trusses on order-6 carriers from two endomorphism-pair
-    constructions: the split-circ family and the conjugation family.  The
-    full order-6 search runs in Tier-1 time (Z6 and S3 are pinned in
-    test_enumeration.py); this corpus is a fixed subset of it."""
+    constructions: the split-circ family and the conjugation family, each
+    structure as built rather than as the representative of its class."""
     out = []
     for name in ("Z6", "S3"):
         G = builtin_group(name)
@@ -288,8 +299,9 @@ def test_c09_ideal_congruence_bijection():
         corpus = []
         for name in ("Z1", "Z2", "Z3", "Z4", "Z5", "V4"):
             corpus.extend(skew_structures(name))
+        corpus.extend(order_six_representatives())
         corpus.extend(order_six_extras())
-        assert any(o.group.name == "S3" for o in corpus)
+        assert sum(o.group.order == 6 for o in corpus) > 3361
         for T in corpus:
             ids = ideals(T)
             cgs = congruences(T)
@@ -309,10 +321,14 @@ def test_c10_zero_symmetric_characterization():
                     continue
                 is_zero_symmetric(T)  # raises if the biconditional breaks
                 checked += 1
+        for T in order_six_representatives():
+            if T.sigma[0] == 0:
+                is_zero_symmetric(T)
+                checked += 1
         for T in order_six_extras():
             is_zero_symmetric(T)
             checked += 1
-        assert checked > 500
+        assert checked > 3000
 
 
 def test_c11_fixtures_reproduce_via_cli(capsys, tmp_path):

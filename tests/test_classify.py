@@ -1,11 +1,11 @@
 """Classification against the routes it replaced.
 
 Every kind is classified isomorph-free, from one generator per
-automorphism orbit: skew and weak trusses from one first search pair, and
-interchange near-rings and constant-lambda ditrusses from one pair of
-endomorphisms.  The library holds the representatives only; a listing is
-the keys of the admissible pairs, or the union of the representatives'
-orbits for skew and weak trusses.
+automorphism orbit: skew and weak trusses from one leaf of the search that
+the orderly test keeps, and interchange near-rings and constant-lambda
+ditrusses from one pair of endomorphisms.  The library holds the
+representatives only; a listing is the keys of the admissible pairs, or
+the union of the representatives' orbits for skew and weak trusses.
 
 The references here are the routes this replaced.  _classify sorts the
 structure_bytes() keys of every structure once, takes the first unmarked
@@ -14,8 +14,10 @@ it, the plain loop it replaced in turn: the orbit minimum of every
 structure, and a relabel of the first structure met in each new class.
 All must give the same totals, class counts, representatives (in order)
 and structure order.  The skew and weak search is held to the unrestricted
-joint search with every leaf verified, then _classify; the endomorphism
-pairs to every admissible pair verified, then _classify.
+joint search with every leaf verified, then _classify, and its leaves to
+the full search's leaves least in their orbit; the endomorphism pairs to
+every admissible pair verified, then _classify, and their counts to
+Burnside's lemma.
 """
 
 import hashlib
@@ -50,6 +52,7 @@ from trusslab.catalog import _product
 from trusslab.cli import main
 from trusslab.errors import TrussLabError
 from trusslab.groups import (
+    automorphisms,
     compose_commute,
     enumerate_endomorphisms,
     group_from_json,
@@ -91,7 +94,7 @@ def _classify(G, kind, keys, stats) -> ClassificationResult:
         if marked[i]:
             continue
         reps.append(key)
-        for _h, pull, push in pullbacks:
+        for pull, push in pullbacks:
             j = position.get(bytes(pull(key)).translate(push))
             if j is None:
                 raise TrussLabError(
@@ -214,7 +217,44 @@ def test_isomorph_free_search_matches_full_search(group, kind):
     # full search accepts
     assert counters["nodes"] + counters["pruned"] <= expected.counters["nodes"]
     assert expected.counters["pruned"] == 0
-    assert counters["first_pairs_searched"] <= counters["first_pairs"]
+
+
+LEAF_CASES = [(g, "skew-truss") for g in ("V4", "Z5", "S3")] + [
+    (g, "weak-truss") for g in ("V4", "Z5")
+]
+
+
+@pytest.mark.parametrize("group, kind", LEAF_CASES, ids=[f"{g}-{k}" for g, k in LEAF_CASES])
+def test_orderly_search_keeps_the_least_leaves(group, kind):
+    # with every automorphism live from the root, the search yields, in
+    # order, exactly the full search's leaves that no automorphism makes
+    # smaller in coordinate order: h moves (sigma(q), d_q) at q to
+    # (h sigma(q), the digit of h lam_q h^-1) at h(q)
+    G = builtin_group(group)
+    n, skew = G.order, kind == "skew-truss"
+    endos = enumerate_endomorphisms(G)
+    images = [e.images for e in endos]
+    digit = {f: d for d, f in enumerate(images)}
+    actions = []
+    for aut in automorphisms(G)[1:]:
+        h = aut.images
+        hinv = [h.index(a) for a in range(n)]
+        conj = [digit[tuple(h[f[hinv[x]]] for x in range(n))] for f in images]
+        actions.append((h, hinv, conj))
+
+    def least(sigma, digits):
+        coordinates = list(zip(sigma, digits))
+        for h, hinv, conj in actions:
+            image = [(h[sigma[hinv[p]]], conj[digits[hinv[p]]]) for p in range(n)]
+            if image < coordinates:
+                return False
+        return True
+
+    domains = [range(n)] * n
+    full = [leaf[:2] for leaf in _joint_search(G, endos, domains, skew)]
+    kept = [leaf[:2] for leaf in _joint_search(G, endos, domains, skew, actions)]
+    assert kept == [leaf for leaf in full if least(*leaf)]
+    assert len(kept) == ENUMERATORS[kind](G, cap=6).iso_class_count < len(full)
 
 
 PAIR_CASES = [(g, k) for g in builtin_names() for k in ("interchange-nr", "ditruss")]
@@ -247,15 +287,46 @@ def test_least_pairs_match_every_pair(group, kind):
     assert result.total_count == expected.total_count
 
 
+def admissible(G, kind, flag, e, f):
+    """Whether the endomorphism pair (e, f) gives a structure of kind, with
+    the kind's optional filter when flag."""
+    if kind == "interchange-nr":
+        return image_commuting(G, e, f) and (
+            not flag or is_idempotent_map(e) and is_idempotent_map(f) and compose_commute(e, f)
+        )
+    return (
+        is_idempotent_map(e) and is_idempotent_map(f) and compose_commute(e, f)
+        and (not flag or image_commuting(G, e, f))
+    )
+
+
 PAIR_RUNS = [
     (enumerate_interchange, {"associative_only": flag}) for flag in (False, True)
 ] + [(enumerate_constant_lambda_ditrusses, {"image_commuting_only": flag}) for flag in (False, True)]
+PAIR_RUN_IDS = ["interchange", "interchange-associative", "ditruss", "ditruss-image-commuting"]
 
 
-@pytest.mark.parametrize(
-    "enumerate_kind, kwargs", PAIR_RUNS,
-    ids=["interchange", "interchange-associative", "ditruss", "ditruss-image-commuting"],
-)
+@pytest.mark.parametrize("enumerate_kind, kwargs", PAIR_RUNS, ids=PAIR_RUN_IDS)
+def test_pair_counts_satisfy_burnside(enumerate_kind, kwargs):
+    # sum over h in Aut(G) of the admissible pairs h fixes is |Aut G| times
+    # the class count (Cauchy-Frobenius-Burnside); the identity's term is
+    # the total
+    (flag,) = kwargs.values()
+    for name in builtin_names():
+        G = builtin_group(name)
+        result = enumerate_kind(G, **kwargs)
+        endos = [e.images for e in enumerate_endomorphisms(G)]
+        pairs = [(e, f) for e in endos for f in endos if admissible(G, result.kind, flag, e, f)]
+        auts = [h.images for h in automorphisms(G)]
+        fixed = []
+        for h in auts:
+            commuting = {e for e in endos if all(h[e[x]] == e[h[x]] for x in G.elements)}
+            fixed.append(sum(e in commuting and f in commuting for e, f in pairs))
+        assert fixed[0] == len(pairs) == result.total_count, name
+        assert sum(fixed) == len(auts) * result.iso_class_count, name
+
+
+@pytest.mark.parametrize("enumerate_kind, kwargs", PAIR_RUNS, ids=PAIR_RUN_IDS)
 def test_pair_route_builds_no_orbit_images(monkeypatch, enumerate_kind, kwargs):
     # the least pair's key is the least key of its class, and a listing is
     # the keys of the admissible pairs, so the pair route needs neither the
