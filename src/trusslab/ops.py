@@ -9,9 +9,12 @@ have order at most 256).  For each value of the law's first variable, each
 side is built as one string over the other variables, in lexicographic
 order, by two C-level primitives: bytes.translate with a row padded to 256
 bytes, which applies the row as a map, and bytes.join over strings picked
-by element values.  One == compares the two strings, and the first
+by element values; the weak associative laws build both sides over all
+three variables at once.  One == compares the two strings, and the first
 differing offset of an unequal pair unravels into the witness, lhs and rhs
-that a plain scan over every tuple in lexicographic order gives.  The
+that a plain scan over every tuple in lexicographic order gives.  The left
+skew law holds on a row exactly when the row, shifted, is an
+endomorphism, so its passing (row, shift) pairs are kept per group.  The
 interchange law is decided on every carrier in O(n²) by its split into two
 endomorphisms with commuting images; only a failing table is then scanned
 per w for its witness.  That scalar scan is kept, one loop per law, as the
@@ -179,13 +182,24 @@ def _pad(row: bytes) -> bytes:
     return row.ljust(256, b"\0")
 
 
+# The shift 0 at every element of any carrier (orders are at most 256).
+ZEROS = bytes(256)
+
+# The most (row, shift) pairs one group's row memo holds.
+ROW_MEMO_SIZE = 4096
+
+
 class AdditionMaps(NamedTuple):
-    """The addition table of a group in the forms the law engine reads."""
+    """The addition table of a group in the forms the law engine reads,
+    and the group's memo of the left skew law per row: the (row, shift)
+    pairs that passed _left_skew, at most ROW_MEMO_SIZE = 4096 of them.  A
+    full memo is emptied before the next pair is added."""
 
     rows: tuple[bytes, ...]  # row g: (g + x) over x
     flat: bytes  # (b + c) over (b, c)
     left: tuple[bytes, ...]  # g -> the table of x -> g + x
     right: tuple[bytes, ...]  # g -> the table of x -> x + g
+    endomorphic: set  # (row, shift) pairs that pass _left_skew
 
 
 _ADDITION_MAPS: dict[tuple, AdditionMaps] = {}
@@ -198,7 +212,7 @@ def addition_maps(G: FiniteGroup) -> AdditionMaps:
         rows = tuple(map(bytes, G.table))
         columns = tuple(map(bytes, zip(*G.table)))
         cached = _ADDITION_MAPS[G.table] = AdditionMaps(
-            rows, b"".join(rows), tuple(map(_pad, rows)), tuple(map(_pad, columns))
+            rows, b"".join(rows), tuple(map(_pad, rows)), tuple(map(_pad, columns)), set()
         )
     return cached
 
@@ -234,34 +248,58 @@ def rows_of(f: BinOpTable) -> list[bytes]:
 
 
 def _left_weak(G: FiniteGroup, rows: Sequence[bytes], s: Sequence[int], law: str) -> LawReport:
-    """(s(a) + a*b)*c = a*(b*c): per a, the rows t[s(a) + a*b] joined,
-    against every b*c mapped through row a."""
+    """(s(a) + a*b)*c = a*(b*c), on whole tables: the rows t[s(a) + a*b]
+    joined over (a, b), against the flat table mapped through each row a.
+    The witness is read in the n*n block of the first differing a."""
     plus = addition_maps(G).left
     flat = b"".join(rows)
-    for a, (r, sa) in enumerate(zip(rows, s)):
-        lhs = b"".join([rows[x] for x in r.translate(plus[sa])])
-        rhs = flat.translate(_pad(r))
-        if lhs != rhs:
-            return law_violation(law, (a,), lhs, rhs, len(rows))
+    lhs = b"".join([rows[x] for x in b"".join([r.translate(plus[sa]) for r, sa in zip(rows, s)])])
+    rhs = b"".join([flat.translate(_pad(r)) for r in rows])
+    if lhs != rhs:
+        n = len(rows)
+        a = _first_offset(lhs, rhs) // (n * n)
+        block = slice(a * n * n, (a + 1) * n * n)
+        return law_violation(law, (a,), lhs[block], rhs[block], n)
     return holds(law)
 
 
+def _skew_line(k: AdditionMaps, x: bytes, neg: int) -> tuple[bytes, bytes]:
+    """For a line x (a row or a column of a table, read as a map) and neg
+    the negated shift: the blocks over (b, c) of x(b + c) and
+    x(b) + neg + x(c)."""
+    return (
+        k.flat.translate(_pad(x)),
+        b"".join([x.translate(k.left[g]) for g in x.translate(k.right[neg])]),
+    )
+
+
 def _skew_blocks(G: FiniteGroup, lines: Iterable[bytes], s: Sequence[int]) -> Iterator[tuple]:
-    """Per line x (a row or a column of a table, read as a map) with shift
-    s(x): the blocks over (b, c) of x(b + c) and x(b) - s(x) + x(c)."""
+    """The blocks of _skew_line per line x with shift s(x)."""
     k = addition_maps(G)
     for x, sx in zip(lines, s):
-        yield (
-            k.flat.translate(_pad(x)),
-            b"".join([x.translate(k.left[g]) for g in x.translate(k.right[G.inverse[sx]])]),
-        )
+        yield _skew_line(k, x, G.inverse[sx])
 
 
 def _left_skew(G: FiniteGroup, rows: Sequence[bytes], s: Sequence[int], law: str) -> LawReport:
-    """a*(b+c) = (a*b) - s(a) + (a*c), per a, on row a."""
-    for a, (lhs, rhs) in enumerate(_skew_blocks(G, rows, s)):
-        if lhs != rhs:
-            return law_violation(law, (a,), lhs, rhs, len(rows))
+    """a*(b+c) = (a*b) - s(a) + (a*c), per a, on row a.  The law says that
+    x -> -s(a) + a*x is an endomorphism, so its verdict on row a depends on
+    the row's bytes and s(a) alone.  The pairs (row, shift) that pass are
+    kept per group table in AdditionMaps.endomorphic, so each is decided
+    once; a row not kept is decided by its blocks, which also give a
+    failing row's witness."""
+    k = addition_maps(G)
+    memo = k.endomorphic
+    if memo.issuperset(zip(rows, s)):
+        return holds(law)
+    for a, pair in enumerate(zip(rows, s)):
+        if pair not in memo:
+            x, sx = pair
+            lhs, rhs = _skew_line(k, x, G.inverse[sx])
+            if lhs != rhs:
+                return law_violation(law, (a,), lhs, rhs, len(rows))
+            if len(memo) >= ROW_MEMO_SIZE:
+                memo.clear()
+            memo.add(pair)
     return holds(law)
 
 
@@ -302,7 +340,7 @@ def _interchange(G: FiniteGroup, rows: Sequence[bytes]) -> LawReport:
     right = addition_maps(G).right
     if (flat == sum_of_projections(G, eps, eta)
             == b"".join([eta.translate(right[e]) for e in eps])  # eta(z) + eps(w)
-            and all(lhs == rhs for lhs, rhs in _skew_blocks(G, (eps, eta), (0, 0)))):
+            and _left_skew(G, (eps, eta), ZEROS, "left-distributivity").holds):
         return holds("interchange")
     return _interchange_witness(G, rows)
 
@@ -325,17 +363,17 @@ def _interchange_witness(G: FiniteGroup, rows: Sequence[bytes]) -> LawReport:
 
 def is_associative(f: BinOpTable) -> LawReport:
     """(a*b)*c = a*(b*c)."""
-    return _left_weak(f.carrier, rows_of(f), (0,) * f.order, "associativity")
+    return _left_weak(f.carrier, rows_of(f), ZEROS, "associativity")
 
 
 def is_left_distributive(f: BinOpTable) -> LawReport:
     """a*(b+c) = a*b + a*c."""
-    return _left_skew(f.carrier, rows_of(f), (0,) * f.order, "left-distributivity")
+    return _left_skew(f.carrier, rows_of(f), ZEROS, "left-distributivity")
 
 
 def is_right_distributive(f: BinOpTable) -> LawReport:
     """(a+b)*c = a*c + b*c."""
-    return _right_skew(f.carrier, rows_of(f), (0,) * f.order, "right-distributivity")
+    return _right_skew(f.carrier, rows_of(f), ZEROS, "right-distributivity")
 
 
 def is_left_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -44,6 +45,7 @@ from .groups import (
     is_idempotent_map,
 )
 from .ops import (
+    ZEROS,
     BinOpTable,
     LawReport,
     _interchange,
@@ -265,10 +267,9 @@ def _ditruss_compatibility(G: FiniteGroup, sigma, circ, dot) -> LawReport:
 def _law_reports(G: FiniteGroup, kind: str, sigma, circ, dot) -> tuple[LawReport, ...]:
     """The defining axioms of kind, on a validated sigma and the rows of
     circ and dot as bytes."""
-    zeros = (0,) * G.order
     if kind == SKEW_TRUSS:
         return (
-            _left_weak(G, circ, zeros, "associativity"),
+            _left_weak(G, circ, ZEROS, "associativity"),
             _left_skew(G, circ, sigma, "left-skew-sigma-distributivity"),
         )
     if kind == DITRUSS:
@@ -276,7 +277,7 @@ def _law_reports(G: FiniteGroup, kind: str, sigma, circ, dot) -> tuple[LawReport
     if kind == WEAK_TRUSS:
         return (
             _left_weak(G, dot, sigma, "left-weak-sigma-associativity"),
-            _left_skew(G, dot, zeros, "left-distributivity"),
+            _left_skew(G, dot, ZEROS, "left-distributivity"),
         )
     if kind == INTERCHANGE:
         return (_interchange(G, circ),)
@@ -308,19 +309,28 @@ def verify(obj: AlgebraObject) -> AlgebraObject:
     return obj
 
 
+@functools.cache
+def _key_rows(n: int, count: int) -> struct.Struct:
+    """The layout of count table rows of n bytes each, which unpack from a
+    key as a tuple of bytes."""
+    return struct.Struct(f"{n}s" * count)
+
+
 def verify_key(group: FiniteGroup, kind: str, key: bytes) -> bytes:
     """Run the axioms check() runs for kind on a structure_bytes() key and
     return the key; raises VerificationFailed as verify does otherwise.
-    For keys the library built itself: sigma passes check_map, the table
-    rows are taken as they are, and no object is built."""
+    For keys the library built itself: sigma is checked on the bytes (a
+    failing one raises what make_algebra raises), the table rows are read
+    as they are, and no object is built."""
     n = group.order
-    sigma, circ, dot = _key_components(kind, n, key)
-
-    def rows(flat):
-        return None if flat is None else [flat[i:i + n] for i in range(0, n * n, n)]
-
-    s = None if sigma is None else check_map(group, tuple(sigma), "sigma")
-    _raise_on_failure(kind, _law_reports(group, kind, s, rows(circ), rows(dot)))
+    has_sigma, has_circ, has_dot = _COMPONENTS[kind]
+    sigma = key[:n] if has_sigma else None
+    if has_sigma and (len(sigma) < n or max(sigma) >= n):
+        check_map(group, tuple(sigma), "sigma")
+    rows = _key_rows(n, (has_circ + has_dot) * n).unpack_from(key, n if has_sigma else 0)
+    circ = rows[:n] if has_circ else None
+    dot = rows[-n:] if has_dot else None
+    _raise_on_failure(kind, _law_reports(group, kind, sigma, circ, dot))
     return key
 
 

@@ -479,6 +479,20 @@ def test_order_eight_skew_truss_classification(tmp_path, name, total, classes, d
     assert peak < 60 * 1024  # KiB
 
 
+@pytest.mark.parametrize(
+    "name, digest",
+    [pytest.param("S3", "5356888e0db5bb1ddfcda524cb3e44ee4034ca035e947e1f7c91783f872d3638", id="S3"),
+     pytest.param("Z6", "bd5ff2169dcdaa38d824d6522b00ac17b7c085d23b5fcb9fbfb73ff12130bee9", id="Z6",
+                  marks=pytest.mark.slow)],
+)
+def test_order_six_weak_truss_stdout(tmp_path, name, digest):
+    # every byte of the 57,309 (S3) and 124,036 (Z6) weak-truss classes
+    out, _ = _run_cli(
+        tmp_path, "enumerate", "--group", name, "--kind", "weak-truss", "--cap", "6", "--up-to-iso"
+    )
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "doc, total, classes",

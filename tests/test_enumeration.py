@@ -264,10 +264,12 @@ def test_every_emitted_object_verifies():
 
 @pytest.mark.parametrize("name", ["V4", "Z4"])
 def test_every_emitted_structure_checked_once(name, monkeypatch):
-    # one law check and one check_map of sigma per structure, and none for
-    # the objects built afterwards: every kind checks its representatives
-    # while it classifies and every other structure when the full list is
-    # first asked for
+    # one law check per structure, and none for the objects built
+    # afterwards: every kind checks its representatives while it classifies
+    # and every other structure when the full list is first asked for.
+    # verify_key checks sigma on the key's bytes and builds no object, so
+    # check_map, which make_algebra runs on every sigma it is given, is
+    # never called
     import trusslab.ops
     import trusslab.structures
 
@@ -287,18 +289,18 @@ def test_every_emitted_structure_checked_once(name, monkeypatch):
     for module in (trusslab.ops, trusslab.structures):
         monkeypatch.setattr(module, "check_map", check_map)
     G = builtin_group(name)
-    for enumerate_kind, has_sigma in (
-        (enumerate_skew_trusses, True),
-        (enumerate_weak_trusses, True),
-        (enumerate_constant_lambda_ditrusses, True),
-        (enumerate_interchange, False),
+    for enumerate_kind in (
+        enumerate_skew_trusses,
+        enumerate_weak_trusses,
+        enumerate_constant_lambda_ditrusses,
+        enumerate_interchange,
     ):
         calls.update(laws=0, check_map=0)
         result = enumerate_kind(G)
         classes = result.iso_class_count
-        assert calls == {"laws": classes, "check_map": classes * has_sigma}
+        assert calls == {"laws": classes, "check_map": 0}
         assert all(o.verified for o in result.structures)
-        assert calls == {"laws": result.total_count, "check_map": result.total_count * has_sigma}
+        assert calls == {"laws": result.total_count, "check_map": 0}
 
 
 def test_skew_consequences_on_everything_emitted(Z4):

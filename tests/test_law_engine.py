@@ -10,6 +10,12 @@ or only the first cell (or entry of sigma), on Z1, Z8, Q8 and Z13.  The
 interchange law, decided by its split into two endomorphisms with
 commuting images, is also run on inline Z16, Z17 and Z32, and on tables
 that split but break the law.
+
+The left skew law is decided once per (row, shift) pair and group table,
+and the passing pairs are kept: the same bytes are sent to two groups of
+one order in turn, with the memo cold and then warm, and the one-cell
+corruptions of enumerated keys go through verify_key, which must raise
+the first failing report of check().
 """
 
 import functools
@@ -33,8 +39,17 @@ from trusslab import (
     make_sigma_pi1,
     ops,
 )
+from trusslab.errors import InputError, VerificationFailed
 from trusslab.groups import validate_group
-from trusslab.structures import DITRUSS, check, make_algebra
+from trusslab.structures import (
+    DITRUSS,
+    SKEW_TRUSS,
+    WEAK_TRUSS,
+    check,
+    make_algebra,
+    split_key,
+    verify_key,
+)
 
 GROUPS = ["Z1", "Z2", "Z3", "V4", "S3", "D4", "Q8", "Z8"]
 # the witness-edge cases: order 1, two groups of order 8, and Z13
@@ -401,3 +416,120 @@ def test_right_laws_stop_at_a_violation_at_zero(monkeypatch):
             assert library == getattr(ref, law)(*args)
             assert library.holds is not fails
             assert len(columns) == (1 if fails else n), (name, law)
+
+
+def memo(G):
+    """The passing (row, shift) pairs the law engine keeps for G's table."""
+    return ops.addition_maps(G).endomorphic
+
+
+def shared_rows(G, H):
+    """Rows as bytes that G and H, two groups of one order, both read: the
+    endomorphisms of each, and each shifted by 1 in each group."""
+    endos = {bytes(e.images) for K in (G, H) for e in enumerate_endomorphisms(K)}
+    shifted = {bytes(K.table[1][x] for x in e) for K in (G, H) for e in endos}
+    return sorted(endos | shifted)
+
+
+@pytest.mark.parametrize("pair", [("Z4", "V4"), ("Z6", "S3")], ids=["Z4-V4", "Z6-S3"])
+def test_row_memo_is_kept_per_group_table(pair):
+    """Each row, under shift 0 and shift 1, in a table whose row 0 is zero
+    (so a failure is witnessed at a = 1), on the two groups in turn: every
+    law reports what the scalar scan reports, with the memo emptied first
+    and then with the memo the first pass left.  Some row passes the left
+    skew law on one group and fails it on the other."""
+    G, H = group(pair[0]), group(pair[1])
+    n = G.order
+    cases = []
+    for row in shared_rows(G, H):
+        for shift in (0, 1):
+            for K in (G, H):
+                cases.append((K, [bytes(n), *[row] * (n - 1)], (0,) + (shift,) * (n - 1)))
+    memo(G).clear()
+    memo(H).clear()
+    verdicts = {}
+    for warm in (False, True):
+        for K, rows, sigma in cases:
+            f = binop(K, [list(r) for r in rows])
+            for library, reference in law_reports(f, sigma):
+                assert library == reference, (K.name, rows, sigma, warm)
+            verdict = ops.is_left_skew_sigma_distributive(f, sigma).holds
+            assert verdicts.setdefault((K.name, rows[1], sigma[1]), verdict) == verdict
+        assert memo(G) and memo(H)
+    split = {(row, shift) for (name, row, shift), holds in verdicts.items()
+             if holds != verdicts[(H.name if name == G.name else G.name, row, shift)]}
+    assert split
+    assert {shift for _, shift in split} == {0, 1}
+
+
+def test_row_memo_is_bounded(monkeypatch):
+    """A memo that reaches ROW_MEMO_SIZE pairs is emptied before it grows,
+    and the reports stay the scalar scan's."""
+    monkeypatch.setattr(ops, "ROW_MEMO_SIZE", 5)
+    G = group("Z8")
+    n = G.order
+    memo(G).clear()
+    for e in enumerate_endomorphisms(G):
+        for shift in range(n):
+            row = bytes(G.table[shift][x] for x in e.images)
+            f = binop(G, [list(row)] * n)
+            assert ops.is_left_skew_sigma_distributive(f, (shift,) * n).holds
+            assert len(memo(G)) <= 5
+    assert memo(G)
+
+
+def object_of(G, kind, key):
+    """The unverified object of a structure_bytes() key of kind."""
+    n = G.order
+    sigma, table = split_key(kind, n, key)
+    rows = [table[i:i + n] for i in range(0, n * n, n)]
+    return make_algebra(G, kind, sigma=sigma, **{"circ" if kind == SKEW_TRUSS else "dot": rows})
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [("V4", SKEW_TRUSS), ("Z5", SKEW_TRUSS), ("V4", WEAK_TRUSS)],
+    ids=["V4-skew", "Z5-skew", "V4-weak"],
+)
+def test_verify_key_raises_the_first_failing_report(name, kind):
+    """Every one-cell change of some representatives' keys, in sigma or
+    in the table, with the memo emptied first and then with the memo the
+    first pass left: verify_key raises VerificationFailed with the first
+    failing report of check() on the same object, or, where check()
+    passes, returns the key.  Every change of a table cell fails, since on
+    three or more elements an endomorphism changed at one element is
+    none."""
+    G = group(name)
+    n = G.order
+    enumerate_kind = enumerate_skew_trusses if kind == SKEW_TRUSS else enumerate_weak_trusses
+    keys = spread(enumerate_kind(G).representative_keys, 12)
+    memo(G).clear()
+    for key in keys + keys:
+        for i, v in itertools.product(range(len(key)), range(n)):
+            if v == key[i]:
+                continue
+            changed = key[:i] + bytes([v]) + key[i + 1:]
+            reports = check(object_of(G, kind, changed)).reports
+            failing = [r for r in reports if not r.holds]
+            assert failing or i < n, (key, i, v)
+            if not failing:
+                assert verify_key(G, kind, changed) == changed
+                continue
+            with pytest.raises(VerificationFailed) as raised:
+                verify_key(G, kind, changed)
+            assert raised.value.report == failing[0], (key, i, v)
+
+
+@pytest.mark.parametrize("kind", [SKEW_TRUSS, WEAK_TRUSS])
+def test_verify_key_refuses_sigma_as_make_algebra_does(kind):
+    """A sigma entry outside the carrier, or a key cut short inside sigma,
+    raises the InputError that make_algebra raises for that sigma."""
+    G = group("V4")
+    table = {"circ" if kind == SKEW_TRUSS else "dot": [[0] * 4] * 4}
+    key = bytes(20)
+    for bad in (b"\x04" + key[1:], key[:3] + b"\xff" + key[4:], key[:3]):
+        with pytest.raises(InputError) as expected:
+            make_algebra(G, kind, sigma=tuple(bad[:4]), **table)
+        with pytest.raises(InputError) as raised:
+            verify_key(G, kind, bad)
+        assert str(raised.value) == str(expected.value)
