@@ -8,6 +8,7 @@ version); a short human summary goes to stderr.  Exit codes: 0 success/pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -230,14 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the defining axioms of a structure file")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
 
     p = sub.add_parser("convert", help="move a structure between kinds")
     p.add_argument("--input", required=True)
     p.add_argument("--from", dest="source", choices=kinds + ["interchange-nr"])
     p.add_argument("--to", dest="target", required=True, choices=kinds + ["interchange-nr"])
     p.add_argument("--output")
-    p.set_defaults(func=cmd_convert)
+    p.set_defaults(func="cmd_convert")
 
     p = sub.add_parser("enumerate", help="classify all structures of a kind on a group")
     p.add_argument("--group", required=True, help="built-in name or a group JSON file")
@@ -255,26 +256,33 @@ def build_parser() -> argparse.ArgumentParser:
         f"{enumeration.ORDER_CAP_DEFAULT}; interchange and ditruss ignore --cap",
     )
     p.add_argument("--output")
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func="cmd_enumerate")
 
     p = sub.add_parser("decompose", help="0-symmetric/constant split plus ideals")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func="cmd_decompose")
 
     p = sub.add_parser("report", help="axioms plus derived-structure reports")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of the process, built on the first main() call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         try:
-            return args.func(args)
+            # the handler is named, and looked up here, so that one
+            # installed on this module after the parser was built is run
+            return globals()[args.func](args)
         except SemanticError as exc:
             _emit({"error": type(exc).__name__, "message": str(exc)}, getattr(args, "output", None))
             _note(f"failure: {exc}")

@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import CarrierTooLarge, GroupMismatch, InputError, TrussLabError
@@ -53,7 +53,7 @@ from .groups import (
     is_idempotent_map,
     validate_group,
 )
-from .ops import _pad, is_associative, sum_of_projections
+from .ops import _pad, addition_maps, is_associative, sum_of_projections
 from .oracles import (  # the oracles lived here, and callers still import them from here
     ORACLE_ORDER_CAP,
     raw_constant_lambda_ditruss_search,
@@ -297,19 +297,22 @@ def enumerate_weak_trusses(G: FiniteGroup, cap: int = ORDER_CAP_DEFAULT) -> Clas
     return _classify_search(G, WEAK_TRUSS, cap)
 
 
-def _least_pairs(pairs, images) -> tuple[dict, int]:
-    """The least pair of each orbit of ``pairs``, mapped to the order of
-    its stabilizer, and the number of pairs read.  images(pair) yields the
-    image of the pair under each automorphism but the identity; ``pairs``
-    is closed under them and listed in key order, so the first pair met of
-    an orbit is its least.  The images of that pair are marked as seen, so
-    this costs orbits x |Aut G|."""
+def _least_pairs(pairs, conjugates, m: int) -> tuple[dict, int]:
+    """The least pair of each orbit of ``pairs``, index pairs (e, f) into
+    a list of m endomorphisms, mapped to the order of its stabilizer, and
+    the number of pairs read.  conjugates(e) lists the index of h e h^-1
+    under each automorphism h but the identity; ``pairs`` is closed under
+    them and listed in key order, so the first pair met of an orbit is its
+    least.  The images of that pair are marked as seen, each by its code
+    e * m + f, so this costs orbits x |Aut G|."""
+    scaled = functools.cache(lambda e: [c * m for c in conjugates(e)])
     seen, orbits, read = set(), {}, 0
-    for read, pair in enumerate(pairs, 1):
-        if pair not in seen:
-            moved = list(images(pair))
+    for read, (e, f) in enumerate(pairs, 1):
+        code = e * m + f
+        if code not in seen:
+            moved = list(map(add, scaled(e), conjugates(f)))
             seen.update(moved)
-            orbits[pair] = 1 + moved.count(pair)
+            orbits[e, f] = 1 + moved.count(code)
     return orbits, read
 
 
@@ -406,7 +409,7 @@ def _classify_pairs(G: FiniteGroup, kind: str, endos, pairs, key_of) -> Classifi
     # sorted by images, so the identity comes first
     others = [h.images for h in automorphisms(G)[1:]]
     conjugates = _conjugation(endos, others)
-    orbits, read = _least_pairs(pairs(), lambda pair: zip(*map(conjugates, pair)))
+    orbits, read = _least_pairs(pairs(), conjugates, len(endos))
     order = len(others) + 1
     reps, total = [], 0
     for (e, f), fixed in orbits.items():
@@ -429,21 +432,29 @@ def enumerate_interchange(
     cross-checked against the raw table scan."""
     endos = enumerate_endomorphisms(G)
     images, centralizers = image_commuting_masks(G, endos)
+    # an associative pair is a commuting pair of idempotents
+    candidates = [
+        i for i, e in enumerate(endos) if not associative_only or is_idempotent_map(e)
+    ]
+    # per image mask of an eta, the eps whose image's centralizer holds it
+    admitting = {
+        image: [e for e in candidates if not image & ~centralizers[e]]
+        for image in {images[f] for f in candidates}
+    }
     # row 0 of a table is eta and row a is fixed by eps(a), its first
     # entry, so listing eta first lists the tables in key order
     def pairs():
         return (
             (e, f)
-            for f, (eta, image) in enumerate(zip(endos, images))
-            for e, (eps, centralizer) in enumerate(zip(endos, centralizers))
-            if not image & ~centralizer
-            and (not associative_only or is_idempotent_map(eps) and is_idempotent_map(eta)
-                 and compose_commute(eps, eta))
+            for f in candidates
+            for e in admitting[images[f]]
+            if not associative_only or compose_commute(endos[e], endos[f])
         )
 
+    plus = addition_maps(G)
     result = _classify_pairs(
         G, INTERCHANGE, endos, pairs,
-        lambda eps, eta: sum_of_projections(G, eps.images, eta.images),
+        lambda eps, eta: sum_of_projections(plus, eps.images, eta.images),
     )
     if associative_only:
         # automorphisms preserve associativity, so the representatives suffice
@@ -470,20 +481,29 @@ def enumerate_constant_lambda_ditrusses(
     near-rings."""
     endos = [e for e in enumerate_endomorphisms(G) if is_idempotent_map(e)]
     images, centralizers = image_commuting_masks(G, endos)
+    # per centralizer mask of a sigma's image, the tau the filter admits
+    admitted = {
+        centralizer: [
+            t for t, image in enumerate(images)
+            if not (image_commuting_only and image & ~centralizer)
+        ]
+        for centralizer in set(centralizers)
+    }
     # a key starts with sigma and then circ row 0, which is tau, so listing
     # sigma first lists the keys in order
     def pairs():
         return (
             (s, t)
-            for s, (sig, centralizer) in enumerate(zip(endos, centralizers))
-            for t, (tau, image) in enumerate(zip(endos, images))
-            if compose_commute(sig, tau) and not (image_commuting_only and image & ~centralizer)
+            for s, centralizer in enumerate(centralizers)
+            for t in admitted[centralizer]
+            if compose_commute(endos[s], endos[t])
         )
 
+    plus = addition_maps(G)
     return _classify_pairs(
         G, DITRUSS, endos, pairs,
         lambda sig, tau: bytes(sig.images)
-        + sum_of_projections(G, sig.images, tau.images)
+        + sum_of_projections(plus, sig.images, tau.images)
         + bytes(tau.images) * G.order,
     )
 

@@ -199,6 +199,7 @@ class AdditionMaps(NamedTuple):
     flat: bytes  # (b + c) over (b, c)
     left: tuple[bytes, ...]  # g -> the table of x -> g + x
     right: tuple[bytes, ...]  # g -> the table of x -> x + g
+    inverse: tuple[int, ...]  # g -> -g
     endomorphic: set  # (row, shift) pairs that pass _left_skew
 
 
@@ -212,7 +213,8 @@ def addition_maps(G: FiniteGroup) -> AdditionMaps:
         rows = tuple(map(bytes, G.table))
         columns = tuple(map(bytes, zip(*G.table)))
         cached = _ADDITION_MAPS[G.table] = AdditionMaps(
-            rows, b"".join(rows), tuple(map(_pad, rows)), tuple(map(_pad, columns)), set()
+            rows, b"".join(rows), tuple(map(_pad, rows)), tuple(map(_pad, columns)),
+            G.inverse, set(),
         )
     return cached
 
@@ -247,11 +249,11 @@ def rows_of(f: BinOpTable) -> list[bytes]:
     return list(map(bytes, f.table))
 
 
-def _left_weak(G: FiniteGroup, rows: Sequence[bytes], s: Sequence[int], law: str) -> LawReport:
+def _left_weak(k: AdditionMaps, rows: Sequence[bytes], s: Sequence[int], law: str) -> LawReport:
     """(s(a) + a*b)*c = a*(b*c), on whole tables: the rows t[s(a) + a*b]
     joined over (a, b), against the flat table mapped through each row a.
     The witness is read in the n*n block of the first differing a."""
-    plus = addition_maps(G).left
+    plus = k.left
     flat = b"".join(rows)
     lhs = b"".join([rows[x] for x in b"".join([r.translate(plus[sa]) for r, sa in zip(rows, s)])])
     rhs = b"".join([flat.translate(_pad(r)) for r in rows])
@@ -273,28 +275,26 @@ def _skew_line(k: AdditionMaps, x: bytes, neg: int) -> tuple[bytes, bytes]:
     )
 
 
-def _skew_blocks(G: FiniteGroup, lines: Iterable[bytes], s: Sequence[int]) -> Iterator[tuple]:
+def _skew_blocks(k: AdditionMaps, lines: Iterable[bytes], s: Sequence[int]) -> Iterator[tuple]:
     """The blocks of _skew_line per line x with shift s(x)."""
-    k = addition_maps(G)
     for x, sx in zip(lines, s):
-        yield _skew_line(k, x, G.inverse[sx])
+        yield _skew_line(k, x, k.inverse[sx])
 
 
-def _left_skew(G: FiniteGroup, rows: Sequence[bytes], s: Sequence[int], law: str) -> LawReport:
+def _left_skew(k: AdditionMaps, rows: Sequence[bytes], s: Sequence[int], law: str) -> LawReport:
     """a*(b+c) = (a*b) - s(a) + (a*c), per a, on row a.  The law says that
     x -> -s(a) + a*x is an endomorphism, so its verdict on row a depends on
     the row's bytes and s(a) alone.  The pairs (row, shift) that pass are
     kept per group table in AdditionMaps.endomorphic, so each is decided
     once; a row not kept is decided by its blocks, which also give a
     failing row's witness."""
-    k = addition_maps(G)
     memo = k.endomorphic
     if memo.issuperset(zip(rows, s)):
         return holds(law)
     for a, pair in enumerate(zip(rows, s)):
         if pair not in memo:
             x, sx = pair
-            lhs, rhs = _skew_line(k, x, G.inverse[sx])
+            lhs, rhs = _skew_line(k, x, k.inverse[sx])
             if lhs != rhs:
                 return law_violation(law, (a,), lhs, rhs, len(rows))
             if len(memo) >= ROW_MEMO_SIZE:
@@ -303,13 +303,13 @@ def _left_skew(G: FiniteGroup, rows: Sequence[bytes], s: Sequence[int], law: str
     return holds(law)
 
 
-def _right_skew(G: FiniteGroup, rows: Sequence[bytes], s: Sequence[int], law: str) -> LawReport:
+def _right_skew(k: AdditionMaps, rows: Sequence[bytes], s: Sequence[int], law: str) -> LawReport:
     """(a+b)*c = (a*c) - s(c) + (b*c): for each c, the law of _left_skew
     on column c, over (a, b).  The witness is the least (a, b, c) among the
     first violations of the failing columns."""
     n = len(rows)
     first, end = None, n * n  # the least violation so far; ties keep the smaller c
-    for c, (lhs, rhs) in enumerate(_skew_blocks(G, map(bytes, zip(*rows)), s)):
+    for c, (lhs, rhs) in enumerate(_skew_blocks(k, map(bytes, zip(*rows)), s)):
         if lhs[:end] != rhs[:end]:
             end = _first_offset(lhs[:end], rhs[:end])
             first = (end, c, lhs, rhs)
@@ -321,14 +321,14 @@ def _right_skew(G: FiniteGroup, rows: Sequence[bytes], s: Sequence[int], law: st
     return LawReport(law, False, (i // n, i % n, c), lhs[i], rhs[i])
 
 
-def sum_of_projections(G: FiniteGroup, left, right) -> bytes:
-    """The flat table a o b = left(a) + right(b): row a is the images of
-    right mapped through the addition row left(a)."""
-    plus, images = addition_maps(G).left, bytes(right)
-    return b"".join(images.translate(plus[x]) for x in left)
+def sum_of_projections(k: AdditionMaps, left, right) -> bytes:
+    """The flat table a o b = left(a) + right(b) on the group of k: row a
+    is the images of right mapped through the addition row left(a)."""
+    plus, images = k.left, bytes(right)
+    return b"".join([images.translate(plus[x]) for x in left])
 
 
-def _interchange(G: FiniteGroup, rows: Sequence[bytes]) -> LawReport:
+def _interchange(k: AdditionMaps, rows: Sequence[bytes]) -> LawReport:
     """(w+x)*(y+z) = (w*y) + (x*z), decided by its split: with eps = *(-, 0)
     and eta = *(0, -), it holds iff w*z = eps(w) + eta(z) = eta(z) + eps(w)
     for all (w, z) and eps and eta are endomorphisms (the law at x = y = 0,
@@ -337,19 +337,17 @@ def _interchange(G: FiniteGroup, rows: Sequence[bytes]) -> LawReport:
     n = len(rows)
     flat = b"".join(rows)
     eps, eta = flat[::n], rows[0]
-    right = addition_maps(G).right
-    if (flat == sum_of_projections(G, eps, eta)
-            == b"".join([eta.translate(right[e]) for e in eps])  # eta(z) + eps(w)
-            and _left_skew(G, (eps, eta), ZEROS, "left-distributivity").holds):
+    if (flat == sum_of_projections(k, eps, eta)
+            == b"".join([eta.translate(k.right[e]) for e in eps])  # eta(z) + eps(w)
+            and _left_skew(k, (eps, eta), ZEROS, "left-distributivity").holds):
         return holds("interchange")
-    return _interchange_witness(G, rows)
+    return _interchange_witness(k, rows)
 
 
-def _interchange_witness(G: FiniteGroup, rows: Sequence[bytes]) -> LawReport:
+def _interchange_witness(k: AdditionMaps, rows: Sequence[bytes]) -> LawReport:
     """The interchange law scanned per w over (x, y, z), for the witness of
     a table the split test rejects: the left block of x over (y, z) depends
     on w + x alone, and the right one is row x shifted by each w*y."""
-    k = addition_maps(G)
     n = len(rows)
     by_sum = [k.flat.translate(_pad(r)) for r in rows]  # s -> t[s][y + z]
     shifted = [[r.translate(p) for p in k.left] for r in rows]  # x -> h -> h + t[x][z]
@@ -363,40 +361,43 @@ def _interchange_witness(G: FiniteGroup, rows: Sequence[bytes]) -> LawReport:
 
 def is_associative(f: BinOpTable) -> LawReport:
     """(a*b)*c = a*(b*c)."""
-    return _left_weak(f.carrier, rows_of(f), ZEROS, "associativity")
+    return _left_weak(addition_maps(f.carrier), rows_of(f), ZEROS, "associativity")
 
 
 def is_left_distributive(f: BinOpTable) -> LawReport:
     """a*(b+c) = a*b + a*c."""
-    return _left_skew(f.carrier, rows_of(f), ZEROS, "left-distributivity")
+    return _left_skew(addition_maps(f.carrier), rows_of(f), ZEROS, "left-distributivity")
 
 
 def is_right_distributive(f: BinOpTable) -> LawReport:
     """(a+b)*c = a*c + b*c."""
-    return _right_skew(f.carrier, rows_of(f), ZEROS, "right-distributivity")
+    return _right_skew(addition_maps(f.carrier), rows_of(f), ZEROS, "right-distributivity")
 
 
 def is_left_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport:
     """a*(b+c) = (a*b) - sigma(a) + (a*c)."""
     G = f.carrier
-    return _left_skew(G, rows_of(f), check_map(G, sigma), "left-skew-sigma-distributivity")
+    s = check_map(G, sigma)
+    return _left_skew(addition_maps(G), rows_of(f), s, "left-skew-sigma-distributivity")
 
 
 def is_right_skew_sigma_distributive(f: BinOpTable, sigma: MapLike) -> LawReport:
     """(a+b)*c = (a*c) - sigma(c) + (b*c)."""
     G = f.carrier
-    return _right_skew(G, rows_of(f), check_map(G, sigma), "right-skew-sigma-distributivity")
+    s = check_map(G, sigma)
+    return _right_skew(addition_maps(G), rows_of(f), s, "right-skew-sigma-distributivity")
 
 
 def is_left_weak_sigma_associative(f: BinOpTable, sigma: MapLike) -> LawReport:
     """(sigma(a) + a*b)*c = a*(b*c)."""
     G = f.carrier
-    return _left_weak(G, rows_of(f), check_map(G, sigma), "left-weak-sigma-associativity")
+    s = check_map(G, sigma)
+    return _left_weak(addition_maps(G), rows_of(f), s, "left-weak-sigma-associativity")
 
 
 def satisfies_interchange(f: BinOpTable) -> LawReport:
     """(w+x)*(y+z) = (w*y) + (x*z)."""
-    return _interchange(f.carrier, rows_of(f))
+    return _interchange(addition_maps(f.carrier), rows_of(f))
 
 
 # ---------------------------------------------------------------------------

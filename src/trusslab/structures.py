@@ -46,6 +46,7 @@ from .groups import (
 )
 from .ops import (
     ZEROS,
+    AdditionMaps,
     BinOpTable,
     LawReport,
     _interchange,
@@ -253,34 +254,35 @@ def make_interchange(group, circ) -> AlgebraObject:
     return make_algebra(group, INTERCHANGE, circ=circ)
 
 
-def _ditruss_compatibility(G: FiniteGroup, sigma, circ, dot) -> LawReport:
+def _ditruss_compatibility(k: AdditionMaps, sigma, circ, dot) -> LawReport:
     """sigma(a) + a.b = a o b for all a, b: per a, row a of dot mapped
     through the addition row sigma(a), against row a of circ."""
-    plus = addition_maps(G).left
+    plus = k.left
     for a, (sa, da, ca) in enumerate(zip(sigma, dot, circ)):
         lhs = da.translate(plus[sa])
         if lhs != ca:
-            return law_violation("sigma-plus-dot-equals-circ", (a,), lhs, ca, G.order)
+            return law_violation("sigma-plus-dot-equals-circ", (a,), lhs, ca, len(dot))
     return holds("sigma-plus-dot-equals-circ")
 
 
 def _law_reports(G: FiniteGroup, kind: str, sigma, circ, dot) -> tuple[LawReport, ...]:
     """The defining axioms of kind, on a validated sigma and the rows of
-    circ and dot as bytes."""
+    circ and dot as bytes.  The group's AdditionMaps is looked up once."""
+    k = addition_maps(G)
     if kind == SKEW_TRUSS:
         return (
-            _left_weak(G, circ, ZEROS, "associativity"),
-            _left_skew(G, circ, sigma, "left-skew-sigma-distributivity"),
+            _left_weak(k, circ, ZEROS, "associativity"),
+            _left_skew(k, circ, sigma, "left-skew-sigma-distributivity"),
         )
     if kind == DITRUSS:
-        return (_ditruss_compatibility(G, sigma, circ, dot),)
+        return (_ditruss_compatibility(k, sigma, circ, dot),)
     if kind == WEAK_TRUSS:
         return (
-            _left_weak(G, dot, sigma, "left-weak-sigma-associativity"),
-            _left_skew(G, dot, ZEROS, "left-distributivity"),
+            _left_weak(k, dot, sigma, "left-weak-sigma-associativity"),
+            _left_skew(k, dot, ZEROS, "left-distributivity"),
         )
     if kind == INTERCHANGE:
-        return (_interchange(G, circ),)
+        return (_interchange(k, circ),)
     raise InputError(f"unknown kind {kind}")  # pragma: no cover - construction forbids it
 
 
@@ -320,14 +322,21 @@ def verify_key(group: FiniteGroup, kind: str, key: bytes) -> bytes:
     """Run the axioms check() runs for kind on a structure_bytes() key and
     return the key; raises VerificationFailed as verify does otherwise.
     For keys the library built itself: sigma is checked on the bytes (a
-    failing one raises what make_algebra raises), the table rows are read
-    as they are, and no object is built."""
+    failing one raises what make_algebra raises), a key of another length
+    than the kind's layout is refused, the table rows are read as they
+    are, and no object is built."""
     n = group.order
     has_sigma, has_circ, has_dot = _COMPONENTS[kind]
     sigma = key[:n] if has_sigma else None
     if has_sigma and (len(sigma) < n or max(sigma) >= n):
         check_map(group, tuple(sigma), "sigma")
-    rows = _key_rows(n, (has_circ + has_dot) * n).unpack_from(key, n if has_sigma else 0)
+    layout = _key_rows(n, (has_circ + has_dot) * n)
+    start = n if has_sigma else 0
+    if len(key) != start + layout.size:
+        raise InputError(
+            f"{kind} key on {group.name} has {len(key)} bytes, expected {start + layout.size}"
+        )
+    rows = layout.unpack_from(key, start)
     circ = rows[:n] if has_circ else None
     dot = rows[-n:] if has_dot else None
     _raise_on_failure(kind, _law_reports(group, kind, sigma, circ, dot))
@@ -621,26 +630,34 @@ def structure_texts(
     json.dumps(structure_to_json(obj), indent=2, sort_keys=True) gives for
     its object, without building the object.  pad is the newline and the
     indentation before the closing brace: "\n" at the top level, deeper
-    where the object sits inside a payload."""
+    where the object sits inside a payload.  The keys are split into rows
+    by the _key_rows layout, and the text of each distinct row, and of
+    each distinct sigma, is written once per call."""
     n = group.order
+    has_sigma, has_circ, has_dot = _COMPONENTS[kind]
+    layout = _key_rows(n, (has_circ + has_dot) * n)
+    start = n if has_sigma else 0
     i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
+    cells = [str(v) for v in range(n)]
+    heads = [f'"{label}": [{i2}' for label, present in (("circ", has_circ), ("dot", has_dot))
+             if present]
     named = f'"group": {json.dumps(group.name)},{i1}"kind": {json.dumps(kind)}'
+    rows: dict[bytes, str] = {}  # a table repeats few distinct rows
+    sigmas: dict[bytes, str] = {}
 
-    def ints(values, inner, outer):
-        return f"[{inner}{(',' + inner).join(map(str, values))}{outer}]"
-
-    @functools.cache  # a table repeats few distinct rows
-    def row(values):
-        return ints(values, i3, i2)
-
-    def table(label, flat):
-        rows = map(row, (flat[i:i + n] for i in range(0, n * n, n)))
-        return f'"{label}": [{i2}{("," + i2).join(rows)}{i1}]'
+    def written(texts, values, inner, outer):  # the list text of values, kept in texts
+        body = (',' + inner).join(map(cells.__getitem__, values))
+        text = texts[values] = f"[{inner}{body}{outer}]"
+        return text
 
     for key in keys:
-        sigma, circ, dot = _key_components(kind, n, key)
-        fields = [table(label, op) for label, op in (("circ", circ), ("dot", dot)) if op]
+        lines = [rows.get(r) or written(rows, r, i3, i2) for r in layout.unpack_from(key, start)]
+        fields = [
+            f"{head}{(',' + i2).join(lines[i:i + n])}{i1}]"
+            for head, i in zip(heads, range(0, len(lines), n))
+        ]
         fields.append(named)
-        if sigma is not None:
-            fields.append(f'"sigma": {ints(sigma, i2, i1)}')
+        if has_sigma:
+            sigma = key[:n]
+            fields.append(f'"sigma": {sigmas.get(sigma) or written(sigmas, sigma, i2, i1)}')
         yield f"{{{i1}{(',' + i1).join(fields)}{pad}}}"

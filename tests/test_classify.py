@@ -57,6 +57,7 @@ from trusslab.groups import (
     enumerate_endomorphisms,
     group_from_json,
     image_commuting,
+    image_commuting_masks,
     is_idempotent_map,
 )
 from trusslab.ops import binop
@@ -344,6 +345,49 @@ def test_pair_route_builds_no_orbit_images(monkeypatch, enumerate_kind, kwargs):
     for name in builtin_names():
         result = enumerate_kind(builtin_group(name), **kwargs)
         assert (result.representative_keys, result.total_count, result.keys) == expected[name]
+
+
+def mask_scan(G, kind, flag):
+    """The admissible index pairs of a pair kind, with its filter when
+    flag, read off the image masks for every one of the |End|^2 pairs, in
+    key order: eta, then eps, for interchange near-rings; sigma, then tau,
+    for ditrusses."""
+    endos = enumerate_endomorphisms(G)
+    if kind == "ditruss":
+        endos = [e for e in endos if is_idempotent_map(e)]
+    images, centralizers = image_commuting_masks(G, endos)
+    m = range(len(endos))
+    if kind == "interchange-nr":
+        return [
+            (e, f) for f in m for e in m
+            if not images[f] & ~centralizers[e] and (
+                not flag or is_idempotent_map(endos[e]) and is_idempotent_map(endos[f])
+                and compose_commute(endos[e], endos[f]))
+        ]
+    return [
+        (s, t) for s in m for t in m
+        if compose_commute(endos[s], endos[t]) and not (flag and images[t] & ~centralizers[s])
+    ]
+
+
+@pytest.mark.parametrize("enumerate_kind, kwargs", PAIR_RUNS, ids=PAIR_RUN_IDS)
+def test_image_buckets_list_the_mask_scan(monkeypatch, enumerate_kind, kwargs):
+    # the pairs are listed from buckets keyed by an image or centralizer
+    # mask; they are the pairs the full scan admits, in the same order
+    listed = []
+    classify_pairs = enumeration._classify_pairs
+
+    def spy(G, kind, endos, pairs, key_of):
+        listed.append(list(pairs()))
+        return classify_pairs(G, kind, endos, pairs, key_of)
+
+    monkeypatch.setattr(enumeration, "_classify_pairs", spy)
+    (flag,) = kwargs.values()
+    for name in builtin_names():
+        G = builtin_group(name)
+        listed.clear()
+        result = enumerate_kind(G, **kwargs)
+        assert listed == [mask_scan(G, result.kind, flag)], name
 
 
 @pytest.mark.parametrize("group, kind", PAIR_CASES, ids=[f"{g}-{k}" for g, k in PAIR_CASES])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from trusslab import cli
 from trusslab.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -611,3 +613,83 @@ def test_input_errors_exit_2(name, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "boom" in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+# the stdout pins of tests/test_enumerate_stdout.py
+ENUMERATE_PINS = [
+    ("D4", "interchange", "2358331209983544438074b9242b4e09dd9d383a4b211e8189975e0ff5540361"),
+    ("Q8", "interchange", "72a3ae349501bf4332a4ffd5b65ce765730ec42601aea30b9b2aec1130b962a7"),
+    ("V4", "skew-truss", "b1b26cced78d9654d7f7e5b62d08a2fbbd3bcecc785a281f286985037c2f9602"),
+]
+SKEW_RING = str(FIXTURES / "pairing_skew_ring.json")
+# (argv, exit code) of the other commands a process serves
+OTHER_CALLS = [
+    (["verify", "--input", SKEW_RING], 0),
+    (["convert", "--input", SKEW_RING, "--to", "weak-truss"], 0),
+    (["enumerate", "--group", "D4"], 2),  # no --kind: argparse exits
+    (["--help"], 0),
+]
+
+
+def run_or_exit(capsys, argv):
+    """The exit code, stdout and stderr of main(argv), whether it returns
+    or argparse exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_process_serves_every_call_alike(capsys):
+    # enumerate, verify, convert, an argument error, enumerate again and
+    # --help, then the others again: each enumerate prints its pin, and
+    # every other call prints what its first call did
+    first = {}
+
+    def enumerate_all():
+        for group, kind, digest in ENUMERATE_PINS:
+            code, out, _ = run_or_exit(capsys, ["enumerate", "--group", group, "--kind", kind,
+                                                "--up-to-iso"])
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), group
+
+    def other(i):
+        argv, code = OTHER_CALLS[i]
+        result = run_or_exit(capsys, argv)
+        assert result[0] == code, argv
+        assert result == first.setdefault(i, result), argv
+
+    enumerate_all()
+    for i in (0, 1, 2):
+        other(i)
+    enumerate_all()
+    for i in (3, 0, 1, 2, 3):
+        other(i)
+    assert first[3][1].startswith("usage: trusslab")
+    assert first[2][1] == "" and "required: --kind" in first[2][2]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # the first main() call builds the parser and later calls reuse it; a
+    # handler installed on the module after that is the one run
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv, code in OTHER_CALLS * 2:
+        assert run_or_exit(capsys, argv)[0] == code
+    assert built == [1]
+    ran = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: ran.append(args.input) or 0)
+    assert main(OTHER_CALLS[0][0]) == 0
+    assert ran == [SKEW_RING]
+    assert built == [1]

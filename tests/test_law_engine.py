@@ -38,11 +38,14 @@ from trusslab import (
     enumerate_weak_trusses,
     make_sigma_pi1,
     ops,
+    structures,
 )
 from trusslab.errors import InputError, VerificationFailed
 from trusslab.groups import validate_group
 from trusslab.structures import (
     DITRUSS,
+    INTERCHANGE,
+    KINDS,
     SKEW_TRUSS,
     WEAK_TRUSS,
     check,
@@ -337,7 +340,7 @@ def test_interchange_route_boundary(name):
 def split_table(G, eps, eta):
     """The rows of a o b = eps(a) + eta(b)."""
     n = G.order
-    flat = ops.sum_of_projections(G, eps, eta)
+    flat = ops.sum_of_projections(ops.addition_maps(G), eps, eta)
     return [list(flat[a * n:(a + 1) * n]) for a in range(n)]
 
 
@@ -533,3 +536,50 @@ def test_verify_key_refuses_sigma_as_make_algebra_does(kind):
         with pytest.raises(InputError) as raised:
             verify_key(G, kind, bad)
         assert str(raised.value) == str(expected.value)
+
+
+KIND_ENUMERATORS = {
+    SKEW_TRUSS: enumerate_skew_trusses,
+    WEAK_TRUSS: enumerate_weak_trusses,
+    DITRUSS: enumerate_constant_lambda_ditrusses,
+    INTERCHANGE: enumerate_interchange,
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_verify_key_looks_up_the_addition_maps_once(monkeypatch, kind):
+    """One verify_key finds the group's AdditionMaps once and passes it to
+    every law it runs, on passing keys and on keys with their last cell
+    changed, which fail."""
+    lookups = []
+    lookup = ops.addition_maps
+
+    def counted(G):
+        lookups.append(G.name)
+        return lookup(G)
+
+    for module in (ops, structures):
+        monkeypatch.setattr(module, "addition_maps", counted)
+    for name in ("V4", "Z5"):
+        G = group(name)
+        keys = KIND_ENUMERATORS[kind](G).representative_keys
+        for key in spread(keys, 6):
+            lookups.clear()
+            assert verify_key(G, kind, key) == key
+            assert lookups == [name]
+            lookups.clear()
+            with pytest.raises(VerificationFailed):
+                verify_key(G, kind, key[:-1] + bytes([(key[-1] + 1) % G.order]))
+            assert lookups == [name]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_verify_key_refuses_a_key_of_another_length(kind):
+    """A key one byte short of its kind's layout, or one or two bytes
+    long, is refused with an InputError that names both lengths."""
+    G = group("V4")
+    key = KIND_ENUMERATORS[kind](G).representative_keys[-1]
+    extra = {INTERCHANGE: b"\x07\x07", SKEW_TRUSS: b"\x09"}.get(kind, b"\x01\x02")
+    for bad in (key[:-1], key + b"\x00", key + extra):
+        with pytest.raises(InputError, match=f"has {len(bad)} bytes, expected {len(key)}$"):
+            verify_key(G, kind, bad)
